@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -183,7 +184,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no state in it."""
     ap = argparse.ArgumentParser(
         prog="coupled-gue",
         description="Joint largest-eigenvalue probabilities for coupled GUE "

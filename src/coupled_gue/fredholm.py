@@ -12,6 +12,12 @@ applying the resolvent to the scaled oscillator functions
     phi = (n/2)^(1/4) phi_n,     psi = (n/2)^(1/4) phi_{n-1},
 
 the inner-product matrices u, w, and the combinations U_hat, W_hat.
+
+Every kernel value comes from the block formulas of `kernel` applied to
+oscillator rows evaluated once per call: the assembly evaluates the rows at
+the 2m nodes; endpoint_data() evaluates them at the nodes and at (xi_1, xi_2),
+with the derivative rows at (xi_1, xi_2), and builds each kernel row, column
+and their x-derivatives once.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .hermite import phi_matrix
-from .kernel import KernelParams, kernel_block, kernel_block_dx, kernel_entry
+from .hermite import dphi_from_phi, phi_matrix
+from .kernel import KernelParams, block_dx_from_rows, block_from_rows, kernel_k_max
 from .quadrature import QuadratureGrid, ray_grid
 
 __all__ = [
@@ -62,7 +68,6 @@ class FredholmSolution:
     log_prob: float          # ln det(I - kmat)
     sign: int
     cond: float              # 1-norm condition estimate of I - kmat
-    resolvent_mat: np.ndarray  # symmetrized discrete resolvent
     r_disc: np.ndarray       # unsymmetrized resolvent values R(z_a, z_b)
 
     @property
@@ -88,16 +93,24 @@ class EndpointData:
     W_hat: np.ndarray
 
 
+def _ray_tables(nodes: np.ndarray, blocks: np.ndarray, pz: np.ndarray) -> list:
+    """Per ray b = 1, 2: its mask, its nodes and its columns of the oscillator table pz.
+
+    The columns are copied in C order: a boolean index on axis 1 returns a
+    Fortran-ordered copy, which makes einsum sum in another order.
+    """
+    return [(mb, nodes[mb], np.compress(mb, pz, axis=1)) for mb in (blocks == 1, blocks == 2)]
+
+
 def _assemble(p: KernelParams, nodes: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Unsymmetrized kernel matrix K_{blk(a),blk(b)}(z_a, z_b)."""
     size = nodes.size
+    rays = _ray_tables(nodes, blocks, phi_matrix(kernel_k_max(p.n, p.c), nodes))
     kfull = np.empty((size, size))
-    for bi in (1, 2):
-        ia = blocks == bi
-        for bj in (1, 2):
-            jb = blocks == bj
-            kfull[np.ix_(ia, jb)] = kernel_block(
-                bi, bj, nodes[ia][:, None], nodes[jb][None, :], p
+    for bi, (ia, za, pa) in enumerate(rays, 1):
+        for bj, (jb, zb, pb) in enumerate(rays, 1):
+            kfull[np.ix_(ia, jb)] = block_from_rows(
+                bi, bj, za[:, None], zb[None, :], pa[:, :, None], pb[:, None, :], p
             )
     return kfull
 
@@ -135,8 +148,7 @@ def solve(p: KernelParams, m: int = 64) -> FredholmSolution:
         )
     log_prob = float(np.sum(np.log(np.abs(diag))))
 
-    resolvent_mat = sla.lu_solve((lu, piv), kmat)
-    r_disc = resolvent_mat / (sw[:, None] * sw[None, :])
+    r_disc = sla.lu_solve((lu, piv), kmat) / (sw[:, None] * sw[None, :])
 
     return FredholmSolution(
         params=p,
@@ -149,60 +161,43 @@ def solve(p: KernelParams, m: int = 64) -> FredholmSolution:
         log_prob=log_prob,
         sign=sign,
         cond=cond,
-        resolvent_mat=resolvent_mat,
         r_disc=r_disc,
     )
 
 
-def _kernel_row(sol: FredholmSolution, i: int, x: float) -> np.ndarray:
-    """K_{i,blk(b)}(x, z_b) over the whole grid."""
-    p = sol.params
-    row = np.empty(sol.nodes.size)
-    for bj in (1, 2):
-        jb = sol.blocks == bj
-        row[jb] = kernel_block(i, bj, x, sol.nodes[jb], p)
-    return row
+def _along_grid(p: KernelParams, rays: list, formula, i: int, j: int, x: float,
+                ax: np.ndarray) -> np.ndarray:
+    """formula(i, j, x, z_b, ax, rows at z_b) over the grid, the block index 0 set to blk(b).
+
+    formula is block_from_rows or block_dx_from_rows, ax its rows at x, and
+    rays the per-ray tables of _ray_tables.  j = 0 gives the row
+    K_{i,blk(b)}(x, z_b).  i = 0 gives K_{blk(b),j}(x, z_b), which is the column
+    K_{blk(b),j}(z_b, x) because every block is symmetric in its two arguments.
+    """
+    out = np.empty(rays[0][0].size)
+    for b, (mb, zb, pb) in enumerate(rays, 1):
+        out[mb] = formula(i or b, j or b, x, zb, ax, pb, p)
+    return out
 
 
-def _kernel_col(sol: FredholmSolution, j: int, y: float) -> np.ndarray:
-    """K_{blk(a),j}(z_a, y) over the whole grid."""
-    p = sol.params
-    col = np.empty(sol.nodes.size)
-    for bi in (1, 2):
-        ia = sol.blocks == bi
-        col[ia] = kernel_block(bi, j, sol.nodes[ia], y, p)
-    return col
-
-
-def _kernel_row_dx(sol: FredholmSolution, i: int, x: float) -> np.ndarray:
-    """d/dx K_{i,blk(b)}(x, z_b) over the grid."""
-    p = sol.params
-    row = np.empty(sol.nodes.size)
-    for bj in (1, 2):
-        jb = sol.blocks == bj
-        row[jb] = kernel_block_dx(i, bj, x, sol.nodes[jb], p)
-    return row
-
-
-def _resolvent_row(sol: FredholmSolution, i: int, x: float) -> np.ndarray:
-    """R_{i,blk(b)}(x, z_b) via R = K + K W R."""
-    krow = _kernel_row(sol, i, x)
-    return krow + (krow * sol.weights) @ sol.r_disc
-
-
-def _resolvent_col(sol: FredholmSolution, j: int, y: float) -> np.ndarray:
-    """R_{blk(a),j}(z_a, y) via R = K + R W K."""
-    kcol = _kernel_col(sol, j, y)
-    return kcol + sol.r_disc @ (sol.weights * kcol)
+def _grid_tables(sol: FredholmSolution, points) -> tuple[np.ndarray, list, np.ndarray]:
+    """Oscillator rows phi_0..phi_K at the nodes, split per ray, and at the points."""
+    k_max = kernel_k_max(sol.params.n, sol.params.c)
+    pz = phi_matrix(k_max, sol.nodes)
+    rays = _ray_tables(sol.nodes, sol.blocks, pz)
+    return pz, rays, phi_matrix(k_max, np.asarray(points, dtype=float))
 
 
 def resolvent_at(sol: FredholmSolution, i: int, j: int, x: float, y: float) -> float:
     """Nystrom interpolation of the resolvent kernel R_ij(x, y)."""
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError(f"block indices must be 1 or 2, got ({i}, {j})")
-    rrow = _resolvent_row(sol, i, x)
-    kcol = _kernel_col(sol, j, y)
-    return float(kernel_entry(i, j, x, y, sol.params) + (rrow * sol.weights) @ kcol)
+    _, rays, pxy = _grid_tables(sol, [x, y])
+    krow = _along_grid(sol.params, rays, block_from_rows, i, 0, x, pxy[:, 0])
+    kcol = _along_grid(sol.params, rays, block_from_rows, 0, j, y, pxy[:, 1])
+    rrow = krow + (krow * sol.weights) @ sol.r_disc  # R = K + K W R
+    kxy = block_from_rows(i, j, x, y, pxy[:, 0], pxy[:, 1], sol.params)
+    return float(kxy + (rrow * sol.weights) @ kcol)
 
 
 def endpoint_data(sol: FredholmSolution) -> EndpointData:
@@ -211,14 +206,15 @@ def endpoint_data(sol: FredholmSolution) -> EndpointData:
     xi = (p.xi1, p.xi2)
     scale = (n / 2.0) ** 0.25
 
-    pm = phi_matrix(n, sol.nodes)
-    phi_g = scale * pm[n]          # phi at the grid nodes
-    psi_g = scale * pm[n - 1]      # psi at the grid nodes
-    phi_xi = [scale * phi_matrix(n, np.array([x]))[n][0] for x in xi]
-    psi_xi = [scale * phi_matrix(n, np.array([x]))[n - 1][0] for x in xi]
+    pz, rays, pxi = _grid_tables(sol, xi)
+    dpxi = dphi_from_phi(pxi, np.asarray(xi))
+    phi_g = scale * pz[n]          # phi at the grid nodes
+    psi_g = scale * pz[n - 1]      # psi at the grid nodes
+    phi_xi = scale * pxi[n]
+    psi_xi = scale * pxi[n - 1]
 
     wts = sol.weights
-    masks = [sol.blocks == 1, sol.blocks == 2]
+    masks = [mb for mb, _, _ in rays]
 
     # On-grid Q, P (columns j = 1, 2):  Q_.j(z_a) = delta phi + int R phi
     q_grid = np.zeros((sol.nodes.size, 2))
@@ -228,8 +224,17 @@ def endpoint_data(sol: FredholmSolution) -> EndpointData:
         q_grid[:, j] = mj * phi_g + sol.r_disc[:, mj] @ (wts[mj] * phi_g[mj])
         p_grid[:, j] = mj * psi_g + sol.r_disc[:, mj] @ (wts[mj] * psi_g[mj])
 
-    rrow = [_resolvent_row(sol, i + 1, xi[i]) for i in range(2)]
-    rcol = [_resolvent_col(sol, j + 1, xi[j]) for j in range(2)]
+    # Kernel rows K_{i,.}(xi_i, .), columns K_{.,j}(., xi_j) and their
+    # derivatives; d/dy K_{.,j}(z, y) = (d/dx K_{.,j})(y, z) by symmetry.
+    krow, kcol, dkrow, dkcol = [], [], [], []
+    for k in range(2):
+        a, da = pxi[:, k], dpxi[:, k]
+        krow.append(_along_grid(p, rays, block_from_rows, k + 1, 0, xi[k], a))
+        kcol.append(_along_grid(p, rays, block_from_rows, 0, k + 1, xi[k], a))
+        dkrow.append(_along_grid(p, rays, block_dx_from_rows, k + 1, 0, xi[k], da))
+        dkcol.append(_along_grid(p, rays, block_dx_from_rows, 0, k + 1, xi[k], da))
+    rrow = [kr + (kr * wts) @ sol.r_disc for kr in krow]    # R = K + K W R
+    rcol = [kc + sol.r_disc @ (wts * kc) for kc in kcol]    # R = K + R W K
 
     qm = np.zeros((2, 2))
     pmx = np.zeros((2, 2))
@@ -242,7 +247,6 @@ def endpoint_data(sol: FredholmSolution) -> EndpointData:
     rym = np.zeros((2, 2))
 
     for i in range(2):
-        dkrow_i = _kernel_row_dx(sol, i + 1, xi[i])
         for j in range(2):
             mj = masks[j]
             mi = masks[i]
@@ -254,21 +258,13 @@ def endpoint_data(sol: FredholmSolution) -> EndpointData:
             um[i, j] = (wts[mi] * phi_g[mi]) @ q_grid[mi, j]
             wm[i, j] = (wts[mi] * psi_g[mi]) @ p_grid[mi, j]
 
-            kcol_j = _kernel_col(sol, j + 1, xi[j])
-            rm[i, j] = kernel_entry(i + 1, j + 1, xi[i], xi[j], p) + (
-                rrow[i] * wts
-            ) @ kcol_j
-            rxm[i, j] = kernel_block_dx(i + 1, j + 1, xi[i], xi[j], p) + (
-                dkrow_i * wts
-            ) @ rcol[j]
-            # d/dy K_ij(x, y) = (d/dx K_ij)(y, x) by block symmetry
-            dkcol_j = np.empty(sol.nodes.size)
-            for bb in (1, 2):
-                ib = sol.blocks == bb
-                dkcol_j[ib] = kernel_block_dx(bb, j + 1, xi[j], sol.nodes[ib], p)
-            rym[i, j] = kernel_block_dx(i + 1, j + 1, xi[j], xi[i], p) + (
-                rrow[i] * wts
-            ) @ dkcol_j
+            bi, bj = i + 1, j + 1
+            kij = block_from_rows(bi, bj, xi[i], xi[j], pxi[:, i], pxi[:, j], p)
+            rm[i, j] = kij + (rrow[i] * wts) @ kcol[j]
+            kij_x = block_dx_from_rows(bi, bj, xi[i], xi[j], dpxi[:, i], pxi[:, j], p)
+            rxm[i, j] = kij_x + (dkrow[i] * wts) @ rcol[j]
+            kij_y = block_dx_from_rows(bi, bj, xi[j], xi[i], dpxi[:, j], pxi[:, i], p)
+            rym[i, j] = kij_y + (rrow[i] * wts) @ dkcol[j]
 
     sig = p.sigma
     sig_m = sig * SIGMA3

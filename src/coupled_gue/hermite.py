@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["HermiteEval", "eval_phi_all", "eval_dphi", "phi_matrix", "dphi_matrix"]
+__all__ = ["HermiteEval", "eval_phi_all", "eval_dphi", "phi_matrix", "dphi_from_phi", "dphi_matrix"]
 
 # phi_0(x) = pi^(-1/4) exp(-x^2/2); computed in one exponential to avoid
 # underflow of the product of two small factors.
@@ -84,12 +84,17 @@ def phi_matrix(k_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def dphi_from_phi(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """d phi_k / dx = -x phi_k + sqrt(2k) phi_{k-1}, from phi = phi_matrix(k_max, x)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(phi)
+    out[0] = -x * phi[0]
+    for k in range(1, phi.shape[0]):
+        out[k] = -x * phi[k] + math.sqrt(2.0 * k) * phi[k - 1]
+    return out
+
+
 def dphi_matrix(k_max: int, x: np.ndarray) -> np.ndarray:
     """Derivatives of phi_0..phi_{k_max} at the given abscissae."""
     x = np.asarray(x, dtype=float)
-    phi = phi_matrix(k_max, x)
-    out = np.empty_like(phi)
-    out[0] = -x * phi[0]
-    for k in range(1, k_max + 1):
-        out[k] = -x * phi[k] + math.sqrt(2.0 * k) * phi[k - 1]
-    return out
+    return dphi_from_phi(phi_matrix(k_max, x), x)

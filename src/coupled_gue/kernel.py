@@ -1,4 +1,4 @@
-"""Pointwise evaluation of the 2x2-block extended Hermite kernel.
+"""The 2x2-block extended Hermite kernel, from precomputed oscillator rows.
 
 Blocks, for coupling c in (0, 1) and matrix size n:
 
@@ -15,6 +15,13 @@ minus the first n terms.  For very small c that subtraction loses all
 precision against the c^(-n) prefactor, so below C_DIRECT the tail is summed
 directly (a short geometric sum there).  The brute-force tail sum also
 serves as the test oracle for the Mehler identity.
+
+`block_from_rows` and `block_dx_from_rows` hold the block formulas and their
+x-derivatives.  They read the oscillator rows phi_0..phi_K at x and y, with
+K = `kernel_k_max(n, c)`, so a caller that needs many blocks at the same
+abscissae (the Nystrom matrix, the endpoint rows and columns) evaluates the
+recurrence once.  `kernel_block`, `kernel_block_dx` and `kernel_entry` are
+thin wrappers that evaluate the rows themselves.
 """
 
 from __future__ import annotations
@@ -24,9 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import phi_matrix, dphi_matrix
+from .hermite import dphi_from_phi, phi_matrix
 
-__all__ = ["KernelParams", "mehler_sum", "kernel_entry", "kernel_block", "kernel_block_dx"]
+__all__ = [
+    "KernelParams",
+    "mehler_sum",
+    "kernel_k_max",
+    "block_from_rows",
+    "block_dx_from_rows",
+    "kernel_entry",
+    "kernel_block",
+    "kernel_block_dx",
+]
 
 # Below this coupling the K_12 tail is summed directly instead of via Mehler.
 C_DIRECT = 0.05
@@ -80,40 +96,39 @@ def _tail_terms(n: int, c: float) -> int:
     return n + max(8, int(math.ceil(-46.0 / math.log(c))))
 
 
-def _tail_sum_direct(n: int, c: float, x, y):
-    """sum_{k>=n} c^(k-n) phi_k(x) phi_k(y), summed term by term."""
-    k_hi = _tail_terms(n, c)
-    px = phi_matrix(k_hi, np.asarray(x, dtype=float))
-    py = phi_matrix(k_hi, np.asarray(y, dtype=float))
-    ks = np.arange(n, k_hi + 1)
-    coef = c ** (ks - n)
-    return np.einsum("k,k...,k...->...", coef, px[n:], py[n:])
+def kernel_k_max(n: int, c: float) -> int:
+    """Highest oscillator index the block formulas read at (n, c)."""
+    return _tail_terms(n, c) if c < C_DIRECT else n
 
 
-def tail_block(n: int, c: float, x, y):
-    """c^(-n) * sum_{k>=n} c^k phi_k phi_k; K_12 = -tail_block."""
-    if c < C_DIRECT:
-        out = _tail_sum_direct(n, c, x, y)
-    else:
-        px = phi_matrix(n - 1, np.asarray(x, dtype=float))
-        py = phi_matrix(n - 1, np.asarray(y, dtype=float))
-        coef = c ** (np.arange(n) - float(n))
-        partial = np.einsum("k,k...,k...->...", coef, px, py)
-        out = c ** (-n) * mehler_sum(c, x, y) - partial
-    return float(out) if np.ndim(out) == 0 else out
+def _weighted_sum(coef: np.ndarray, k0: int, ax: np.ndarray, py: np.ndarray):
+    """sum_k coef_{k-k0} a_k(x) phi_k(y) over k = k0 .. k0 + len(coef) - 1."""
+    k1 = k0 + coef.size
+    return np.einsum("k,k...,k...->...", coef, ax[k0:k1], py[k0:k1])
 
 
-def hermite_kernel_n(n: int, x, y):
-    """Christoffel-Darboux form of sum_{k<n} phi_k(x) phi_k(y).
+def _k21_coef(n: int, c: float) -> np.ndarray:
+    return c ** (float(n) - np.arange(n))
+
+
+def _partial_coef(n: int, c: float) -> np.ndarray:
+    """c^(k-n) for k < n: the Mehler terms the K_12 tail leaves out."""
+    return c ** (np.arange(n) - float(n))
+
+
+def _direct_tail_coef(n: int, c: float) -> np.ndarray:
+    """c^(k-n) for k = n .. _tail_terms(n, c)."""
+    ks = np.arange(n, _tail_terms(n, c) + 1)
+    return c ** (ks - n)
+
+
+def _christoffel_darboux(n: int, x, y, px, py):
+    """sum_{k<n} phi_k(x) phi_k(y) in Christoffel-Darboux form.
 
     The confluent x = y limit is n phi_{n-1}^2 - sqrt(n(n-1)) phi_{n-2} phi_n;
     a narrow band around the diagonal falls back to the direct partial sum,
     which is exact and free of cancellation.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    px = phi_matrix(n, x)
-    py = phi_matrix(n, y)
     b = math.sqrt(n / 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         cd = b * (px[n] * py[n - 1] - px[n - 1] * py[n]) / (x - y)
@@ -121,69 +136,101 @@ def hermite_kernel_n(n: int, x, y):
     if np.any(near):
         direct = np.einsum("k...,k...->...", px[:n], py[:n])
         cd = np.where(near, direct, cd)
-    return float(cd) if cd.ndim == 0 else cd
+    return cd
 
 
-def weighted_partial_sum(n: int, c: float, x, y):
-    """K_21: sum_{k<n} c^(n-k) phi_k(x) phi_k(y)."""
-    px = phi_matrix(n - 1, np.asarray(x, dtype=float))
-    py = phi_matrix(n - 1, np.asarray(y, dtype=float))
-    coef = c ** (float(n) - np.arange(n))
-    out = np.einsum("k,k...,k...->...", coef, px, py)
+def _tail(n: int, c: float, x, y, px, py):
+    """c^(-n) * sum_{k>=n} c^k phi_k(x) phi_k(y); K_12 = -_tail."""
+    if c < C_DIRECT:
+        return _weighted_sum(_direct_tail_coef(n, c), n, px, py)
+    partial = _weighted_sum(_partial_coef(n, c), 0, px, py)
+    return c ** (-n) * mehler_sum(c, x, y) - partial
+
+
+def block_from_rows(i: int, j: int, x, y, px, py, p: KernelParams):
+    """Kernel block (i, j) at (x, y), which broadcast together.
+
+    px, py are the oscillator rows phi_0..phi_K at x and y (leading axis k,
+    K >= kernel_k_max(n, c)); the block indices must be 1 or 2.
+    """
+    n, c = p.n, p.c
+    if i == j:
+        return _christoffel_darboux(n, x, y, px, py)
+    if i == 2:
+        return _weighted_sum(_k21_coef(n, c), 0, px, py)
+    return -_tail(n, c, x, y, px, py)
+
+
+def block_dx_from_rows(i: int, j: int, x, y, dpx, py, p: KernelParams):
+    """d/dx of kernel block (i, j) at (x, y), from the rows dphi_k(x), phi_k(y).
+
+    The diagonal blocks differentiate the direct partial sum, not the
+    Christoffel-Darboux quotient; the Mehler route of K_12 differentiates the
+    closed form, the direct route the term-by-term sum.
+    """
+    n, c = p.n, p.c
+    if i == j:
+        return _weighted_sum(np.ones(n), 0, dpx, py)
+    if i == 2:
+        return _weighted_sum(_k21_coef(n, c), 0, dpx, py)
+    if c < C_DIRECT:
+        return -_weighted_sum(_direct_tail_coef(n, c), n, dpx, py)
+    one_m = 1.0 - c * c
+    dmehler = mehler_sum(c, x, y) * (4.0 * y * c - 2.0 * x * (1.0 + c * c)) / (2.0 * one_m)
+    return -(c ** (-n) * dmehler - _weighted_sum(_partial_coef(n, c), 0, dpx, py))
+
+
+def _scalar_or_array(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def kernel_entry(i: int, j: int, x: float, y: float, p: KernelParams) -> float:
-    """Kernel block (i, j) at a single point, i, j in {1, 2}."""
+def hermite_kernel_n(n: int, x, y):
+    """sum_{k<n} phi_k(x) phi_k(y) (Christoffel-Darboux form)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return _scalar_or_array(_christoffel_darboux(n, x, y, phi_matrix(n, x), phi_matrix(n, y)))
+
+
+def _tail_sum_direct(n: int, c: float, x, y):
+    """sum_{k>=n} c^(k-n) phi_k(x) phi_k(y), summed term by term."""
+    k_hi = _tail_terms(n, c)
+    px = phi_matrix(k_hi, np.asarray(x, dtype=float))
+    py = phi_matrix(k_hi, np.asarray(y, dtype=float))
+    return _weighted_sum(_direct_tail_coef(n, c), n, px, py)
+
+
+def tail_block(n: int, c: float, x, y):
+    """c^(-n) * sum_{k>=n} c^k phi_k phi_k; K_12 = -tail_block."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    k = kernel_k_max(n, c)
+    return _scalar_or_array(_tail(n, c, x, y, phi_matrix(k, x), phi_matrix(k, y)))
+
+
+def _check_blocks(i: int, j: int) -> None:
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError(f"block indices must be 1 or 2, got ({i}, {j})")
-    if i == j:
-        return float(hermite_kernel_n(p.n, x, y))
-    if i == 2:  # (2, 1)
-        return float(weighted_partial_sum(p.n, p.c, x, y))
-    return -float(tail_block(p.n, p.c, x, y))  # (1, 2)
 
 
 def kernel_block(i: int, j: int, x, y, p: KernelParams):
     """Vectorized kernel block; x and y broadcast together."""
-    if i not in (1, 2) or j not in (1, 2):
-        raise ValueError(f"block indices must be 1 or 2, got ({i}, {j})")
-    if i == j:
-        return hermite_kernel_n(p.n, x, y)
-    if i == 2:
-        return weighted_partial_sum(p.n, p.c, x, y)
-    return -np.asarray(tail_block(p.n, p.c, x, y))
+    _check_blocks(i, j)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    k = kernel_k_max(p.n, p.c)
+    return block_from_rows(i, j, x, y, phi_matrix(k, x), phi_matrix(k, y), p)
 
 
-def _dx_partial_sum(coef: np.ndarray, x, y):
-    """d/dx of sum_k coef_k phi_k(x) phi_k(y)."""
-    n_hi = coef.size - 1
-    dx = dphi_matrix(n_hi, np.asarray(x, dtype=float))
-    py = phi_matrix(n_hi, np.asarray(y, dtype=float))
-    return np.einsum("k,k...,k...->...", coef, dx, py)
+def kernel_entry(i: int, j: int, x: float, y: float, p: KernelParams) -> float:
+    """Kernel block (i, j) at a single point, i, j in {1, 2}."""
+    return float(kernel_block(i, j, x, y, p))
 
 
 def kernel_block_dx(i: int, j: int, x, y, p: KernelParams):
     """d/dx of kernel block (i, j).  Used for resolvent endpoint partials."""
-    if i not in (1, 2) or j not in (1, 2):
-        raise ValueError(f"block indices must be 1 or 2, got ({i}, {j})")
-    n, c = p.n, p.c
+    _check_blocks(i, j)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if i == j:
-        coef = np.ones(n)
-        return _dx_partial_sum(coef, x, y)
-    if i == 2:
-        coef = c ** (float(n) - np.arange(n))
-        return _dx_partial_sum(coef, x, y)
-    # (1, 2): differentiate the tail; Mehler route differentiates the closed
-    # form, direct route the term-by-term sum.
-    if c < C_DIRECT:
-        k_hi = _tail_terms(n, c)
-        coef = np.zeros(k_hi + 1)
-        coef[n:] = c ** (np.arange(n, k_hi + 1) - float(n))
-        return -_dx_partial_sum(coef, x, y)
-    one_m = 1.0 - c * c
-    dmehler = mehler_sum(c, x, y) * (4.0 * y * c - 2.0 * x * (1.0 + c * c)) / (2.0 * one_m)
-    coef = c ** (np.arange(n) - float(n))
-    return -(c ** (-n) * dmehler - _dx_partial_sum(coef, x, y))
+    k = kernel_k_max(p.n, p.c)
+    dpx = dphi_from_phi(phi_matrix(k, x), x)
+    return block_dx_from_rows(i, j, x, y, dpx, phi_matrix(k, y), p)

@@ -7,11 +7,16 @@ most 2e-22 (at n=1; it shrinks as n grows), far below working accuracy.  A
 wider margin buys nothing in the tail and only stretches the single panel the
 m nodes must resolve: with + 8 the 32-node rule is pre-asymptotic at deep-tail
 points such as (n=3, xi=(-1, 12)).
+
+The m-point rule on [-1, 1] is built once per m and cached; its arrays are
+read-only, so every caller shares them safely.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +42,19 @@ class QuadratureGrid:
         return self.nodes.size
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    t, w = np.polynomial.legendre.leggauss(m)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    """m-point Gauss-Legendre nodes and weights on [-1, 1] (cached, read-only)."""
     if not 1 <= m <= 512:
         raise ValueError(f"m must be in [1, 512], got {m}")
-    return np.polynomial.legendre.leggauss(m)
+    return _legendre_rule(operator.index(m))
 
 
 def ray_grid(xi: float, n: int, m: int) -> QuadratureGrid:

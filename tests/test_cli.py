@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from coupled_gue.cli import RunConfig, main
+from coupled_gue.cli import RunConfig, _build_parser, main
 from coupled_gue.onematrix import solve_one_matrix
 
 
@@ -22,6 +22,16 @@ def test_prob_orthant(capsys):
     assert row["P"] == pytest.approx(1.0 / 3.0, abs=1e-8)
     assert row["ln_P"] == pytest.approx(math.log(row["P"]), rel=1e-12)
     assert {"n", "c", "xi1", "xi2", "P", "ln_P", "r11", "r22"} <= set(row)
+
+
+def test_repeated_main_calls_share_no_parser_state(capsys):
+    # main builds its parser once per process; a value given in one call
+    # must not become the default of the next
+    assert _build_parser() is _build_parser()
+    _, out = run_cli(capsys, "prob", "--n", "1", "--c", "0.3", "--xi", "0", "0")
+    assert json.loads(out)["c"] == 0.3
+    _, out = run_cli(capsys, "prob", "--n", "1", "--xi", "0", "0")
+    assert json.loads(out)["c"] == 0.5
 
 
 def test_prob_trivial(capsys):

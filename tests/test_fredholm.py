@@ -95,6 +95,24 @@ def test_resolvent_reproduces_grid_values(bank):
             )
 
 
+@pytest.mark.parametrize("c", [0.03, 0.5])
+@pytest.mark.parametrize("n", [2, 10, 20])
+def test_endpoint_partials_match_resolvent_differences(bank, n, c):
+    # c = 0.03 takes the direct K_12 tail, c = 0.5 the Mehler route
+    x1 = math.sqrt(2.0 * n)
+    xi = (x1, x1 + 0.3)
+    sol = bank.sol(n, c, *xi)
+    e = bank.end(n, c, *xi)
+    h = 1e-5
+    for i in (1, 2):
+        for j in (1, 2):
+            x, y = xi[i - 1], xi[j - 1]
+            fd_x = (resolvent_at(sol, i, j, x + h, y) - resolvent_at(sol, i, j, x - h, y)) / (2 * h)
+            fd_y = (resolvent_at(sol, i, j, x, y + h) - resolvent_at(sol, i, j, x, y - h)) / (2 * h)
+            assert abs(e.r_x[i - 1, j - 1] - fd_x) <= 1e-5
+            assert abs(e.r_y[i - 1, j - 1] - fd_y) <= 1e-5
+
+
 def test_resolvent_vanishes_empty_rays(bank):
     sol = bank.sol(2, 0.5, 12.0, 12.0)
     for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):

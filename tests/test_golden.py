@@ -1,0 +1,48 @@
+"""Golden values: ln P and endpoint matrices at 30 fixed (n, c, xi) points.
+
+These values pin refactors, not accuracy.  They were recorded with `repr`
+(stored as JSON, which round-trips floats exactly) at commit 4fb7f94, before
+the kernel blocks moved onto oscillator rows evaluated once per solve.  A
+change that keeps the formulas may reorder floating-point sums, so ln P must
+stay within 1e-13 absolute and r, r_x, r_y, q, p within 1e-11 * max(1, |value|).
+A change that is meant to move these numbers (a new kernel route, truncation or
+node count) re-records them and says why.
+
+The points cover n in {1, 2, 5, 10, 20}, c in {0.03, 0.3, 0.5, 0.9} (0.03 takes
+the direct K_12 tail, the others the Mehler route), endpoints near the soft
+edge sqrt(2n) where P is close to 1, and deep-tail endpoints down to
+ln P = -27.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from coupled_gue import KernelParams, endpoint_data, solve
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_values.json").read_text())
+MATRICES = ("r", "r_x", "r_y", "q", "p")
+
+
+def test_golden_set_shape():
+    assert len(GOLDEN) == 30
+    assert {g["n"] for g in GOLDEN} == {1, 2, 5, 10, 20}
+    assert {g["c"] for g in GOLDEN} == {0.03, 0.3, 0.5, 0.9}
+    assert min(g["ln_P"] for g in GOLDEN) < -20.0
+
+
+def _point_id(g):
+    return f"n{g['n']}-c{g['c']}-xi{g['xi'][0]}_{g['xi'][1]}"
+
+
+@pytest.mark.parametrize("g", GOLDEN, ids=_point_id)
+def test_golden_point(g):
+    sol = solve(KernelParams(g["n"], g["c"], *g["xi"]))
+    assert abs(sol.log_prob - g["ln_P"]) <= 1e-13
+    e = endpoint_data(sol)
+    for name in MATRICES:
+        want = np.array(g[name])
+        got = getattr(e, name)
+        assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, np.abs(want))), name

@@ -36,6 +36,17 @@ def test_gauss_legendre_range_errors():
             gauss_legendre(m)
 
 
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    x, w = gauss_legendre(64)
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    x2, w2 = gauss_legendre(64)
+    assert np.array_equal(x, x2) and np.array_equal(w, w2)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
+
 def test_ray_grid_examples():
     # X_max = max(sqrt(4n+2), xi) + 5; n=2 puts the turning point at sqrt(10)
     g = ray_grid(0.0, 2, 8)
