@@ -1,9 +1,17 @@
 """Nystrom discretization of the extended Hermite kernel on J1 (+) J2.
 
-solve() produces ln P = ln det(I - K^J) through a pivoted LU factorization
-with explicit sign tracking, the discrete resolvent, and enough cached grid
-data to interpolate the resolvent kernel anywhere (Gauss nodes exclude the
-ray endpoints, so endpoint values are always interpolated).
+solve() produces ln P = ln det(I - K^J) through one pivoted LU factorization
+of I - kmat, kmat = S K S with S = diag(sqrt w), with explicit sign tracking.
+It keeps the LU factors and S, and nothing else of size (2m, 2m): the
+discrete resolvent R = K + K W R is never formed.  Every resolvent value is a
+solve against those factors, through
+
+    I + R W = (I - K W)^-1 = S^-1 (I - kmat)^-1 S,
+
+and its transpose for the rows R(x, z_b).  A solve that is never asked for a
+resolvent value solves for no right-hand side.  resolvent_at() interpolates
+the resolvent kernel anywhere (Gauss nodes exclude the ray endpoints, so
+endpoint values are always interpolated) with one transposed solve.
 
 endpoint_data() evaluates the 2x2 endpoint matrices of the theory: the
 resolvent values r and its partials, the functions q, p, q~, p~ obtained by
@@ -11,13 +19,18 @@ applying the resolvent to the scaled oscillator functions
 
     phi = (n/2)^(1/4) phi_n,     psi = (n/2)^(1/4) phi_{n-1},
 
-the inner-product matrices u, w, and the combinations U_hat, W_hat.
+the inner-product matrices u, w, and the combinations U_hat, W_hat.  It
+solves for 8 right-hand sides: q and p on the grid (4) and the resolvent
+columns at xi_1, xi_2 (2) in one solve, and the rows (2) in one transposed
+solve.
 
 Every kernel value comes from the block formulas of `kernel` applied to
 oscillator rows evaluated once per call: the assembly evaluates the rows at
-the 2m nodes; endpoint_data() evaluates them at the nodes and at (xi_1, xi_2),
-with the derivative rows at (xi_1, xi_2), and builds each kernel row, column
-and their x-derivatives once.
+the 2m nodes; endpoint_data() evaluates them at the nodes and at (xi_1, xi_2)
+together, with the derivative rows at (xi_1, xi_2).  It builds each kernel
+row, column and their x-derivatives once, along the grid extended by the two
+endpoints, so the point values K_ij(xi_i, xi_j) and their partials come with
+them.
 """
 
 from __future__ import annotations
@@ -64,11 +77,12 @@ class FredholmSolution:
     nodes: np.ndarray        # (2m,) quadrature nodes, ray 1 then ray 2
     weights: np.ndarray      # (2m,) positive weights
     blocks: np.ndarray       # (2m,) ray label, 1 or 2
-    kmat: np.ndarray         # (2m, 2m) weight-symmetrized kernel
+    sqrt_w: np.ndarray       # (2m,) square roots of the weights, S = diag(sqrt_w)
+    lu: np.ndarray           # (2m, 2m) LU factors of I - kmat, kmat = S K S
+    piv: np.ndarray          # (2m,) pivot indices of lu
     log_prob: float          # ln det(I - kmat)
     sign: int
     cond: float              # 1-norm condition estimate of I - kmat
-    r_disc: np.ndarray       # unsymmetrized resolvent values R(z_a, z_b)
 
     @property
     def prob(self) -> float:
@@ -129,8 +143,7 @@ def solve(p: KernelParams, m: int = 64) -> FredholmSolution:
     sw = np.sqrt(weights)
     kmat = sw[:, None] * kfull * sw[None, :]
 
-    ident = np.eye(2 * m)
-    mat = ident - kmat
+    mat = np.eye(2 * m) - kmat
     anorm = np.linalg.norm(mat, 1)
     lu, piv = sla.lu_factor(mat)
     diag = np.diag(lu)
@@ -148,8 +161,6 @@ def solve(p: KernelParams, m: int = 64) -> FredholmSolution:
         )
     log_prob = float(np.sum(np.log(np.abs(diag))))
 
-    r_disc = sla.lu_solve((lu, piv), kmat) / (sw[:, None] * sw[None, :])
-
     return FredholmSolution(
         params=p,
         m=m,
@@ -157,12 +168,24 @@ def solve(p: KernelParams, m: int = 64) -> FredholmSolution:
         nodes=nodes,
         weights=weights,
         blocks=blocks,
-        kmat=kmat,
+        sqrt_w=sw,
+        lu=lu,
+        piv=piv,
         log_prob=log_prob,
         sign=sign,
         cond=cond,
-        r_disc=r_disc,
     )
+
+
+def _resolve(sol: FredholmSolution, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+    """(I + R W) rhs, or with trans=1 (I + W R)^T rhs, from the LU factors.
+
+    R = K + K W R is the discrete resolvent, so I + R W = (I - K W)^-1 =
+    S^-1 (I - kmat)^-1 S, and (I + W R)^T = S^-1 (I - kmat)^-T S.  rhs holds
+    one right-hand side per column, shape (2m, k).
+    """
+    sw = sol.sqrt_w[:, None]
+    return sla.lu_solve((sol.lu, sol.piv), sw * rhs, trans=trans) / sw
 
 
 def _along_grid(p: KernelParams, rays: list, formula, i: int, j: int, x: float,
@@ -180,24 +203,28 @@ def _along_grid(p: KernelParams, rays: list, formula, i: int, j: int, x: float,
     return out
 
 
-def _grid_tables(sol: FredholmSolution, points) -> tuple[np.ndarray, list, np.ndarray]:
-    """Oscillator rows phi_0..phi_K at the nodes, split per ray, and at the points."""
-    k_max = kernel_k_max(sol.params.n, sol.params.c)
-    pz = phi_matrix(k_max, sol.nodes)
-    rays = _ray_tables(sol.nodes, sol.blocks, pz)
-    return pz, rays, phi_matrix(k_max, np.asarray(points, dtype=float))
+def _grid_tables(sol: FredholmSolution, points, labels) -> tuple[np.ndarray, list]:
+    """Oscillator rows phi_0..phi_K at the nodes then the points, and the per-ray tables.
+
+    Each point joins the ray its label names, so a row or column that
+    _along_grid builds from these tables holds, after its 2m grid values, the
+    kernel values at the points.
+    """
+    z = np.concatenate([sol.nodes, points])
+    pz = phi_matrix(kernel_k_max(sol.params.n, sol.params.c), z)
+    return pz, _ray_tables(z, np.concatenate([sol.blocks, labels]), pz)
 
 
 def resolvent_at(sol: FredholmSolution, i: int, j: int, x: float, y: float) -> float:
     """Nystrom interpolation of the resolvent kernel R_ij(x, y)."""
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError(f"block indices must be 1 or 2, got ({i}, {j})")
-    _, rays, pxy = _grid_tables(sol, [x, y])
-    krow = _along_grid(sol.params, rays, block_from_rows, i, 0, x, pxy[:, 0])
-    kcol = _along_grid(sol.params, rays, block_from_rows, 0, j, y, pxy[:, 1])
-    rrow = krow + (krow * sol.weights) @ sol.r_disc  # R = K + K W R
-    kxy = block_from_rows(i, j, x, y, pxy[:, 0], pxy[:, 1], sol.params)
-    return float(kxy + (rrow * sol.weights) @ kcol)
+    size = sol.nodes.size
+    pz, rays = _grid_tables(sol, [x, y], [i, j])
+    krow = _along_grid(sol.params, rays, block_from_rows, i, 0, x, pz[:, size])
+    kcol = _along_grid(sol.params, rays, block_from_rows, 0, j, y, pz[:, size + 1])
+    rrow = _resolve(sol, krow[:size, None], trans=1)[:, 0]  # R = K + K W R
+    return float(krow[size + 1] + (rrow * sol.weights) @ kcol[:size])
 
 
 def endpoint_data(sol: FredholmSolution) -> EndpointData:
@@ -205,66 +232,50 @@ def endpoint_data(sol: FredholmSolution) -> EndpointData:
     n = p.n
     xi = (p.xi1, p.xi2)
     scale = (n / 2.0) ** 0.25
+    size = sol.nodes.size
 
-    pz, rays, pxi = _grid_tables(sol, xi)
+    pz, rays = _grid_tables(sol, xi, [1, 2])
+    pxi = pz[:, size:]
     dpxi = dphi_from_phi(pxi, np.asarray(xi))
-    phi_g = scale * pz[n]          # phi at the grid nodes
-    psi_g = scale * pz[n - 1]      # psi at the grid nodes
-    phi_xi = scale * pxi[n]
-    psi_xi = scale * pxi[n - 1]
+    phi = scale * pz[n]            # phi at the nodes, then at (xi_1, xi_2)
+    psi = scale * pz[n - 1]        # psi likewise
+    phi_g, phi_xi = phi[:size], phi[size:]
+    psi_g, psi_xi = psi[:size], psi[size:]
 
     wts = sol.weights
-    masks = [mb for mb, _, _ in rays]
-
-    # On-grid Q, P (columns j = 1, 2):  Q_.j(z_a) = delta phi + int R phi
-    q_grid = np.zeros((sol.nodes.size, 2))
-    p_grid = np.zeros((sol.nodes.size, 2))
-    for j in range(2):
-        mj = masks[j]
-        q_grid[:, j] = mj * phi_g + sol.r_disc[:, mj] @ (wts[mj] * phi_g[mj])
-        p_grid[:, j] = mj * psi_g + sol.r_disc[:, mj] @ (wts[mj] * psi_g[mj])
+    masks = np.stack([sol.blocks == 1, sol.blocks == 2], axis=1)
+    mphi = masks * phi_g[:, None]  # column j: phi on ray j, 0 elsewhere
+    mpsi = masks * psi_g[:, None]
+    wphi = wts[:, None] * mphi
+    wpsi = wts[:, None] * mpsi
 
     # Kernel rows K_{i,.}(xi_i, .), columns K_{.,j}(., xi_j) and their
-    # derivatives; d/dy K_{.,j}(z, y) = (d/dx K_{.,j})(y, z) by symmetry.
-    krow, kcol, dkrow, dkcol = [], [], [], []
+    # derivatives, each followed by its values at (xi_1, xi_2);
+    # d/dy K_{.,j}(z, y) = (d/dx K_{.,j})(y, z) by symmetry.
+    krow, kcol, dkrow, dkcol = (np.empty((2, size + 2)) for _ in range(4))
     for k in range(2):
         a, da = pxi[:, k], dpxi[:, k]
-        krow.append(_along_grid(p, rays, block_from_rows, k + 1, 0, xi[k], a))
-        kcol.append(_along_grid(p, rays, block_from_rows, 0, k + 1, xi[k], a))
-        dkrow.append(_along_grid(p, rays, block_dx_from_rows, k + 1, 0, xi[k], da))
-        dkcol.append(_along_grid(p, rays, block_dx_from_rows, 0, k + 1, xi[k], da))
-    rrow = [kr + (kr * wts) @ sol.r_disc for kr in krow]    # R = K + K W R
-    rcol = [kc + sol.r_disc @ (wts * kc) for kc in kcol]    # R = K + R W K
+        krow[k] = _along_grid(p, rays, block_from_rows, k + 1, 0, xi[k], a)
+        kcol[k] = _along_grid(p, rays, block_from_rows, 0, k + 1, xi[k], a)
+        dkrow[k] = _along_grid(p, rays, block_dx_from_rows, k + 1, 0, xi[k], da)
+        dkcol[k] = _along_grid(p, rays, block_dx_from_rows, 0, k + 1, xi[k], da)
 
-    qm = np.zeros((2, 2))
-    pmx = np.zeros((2, 2))
-    qt = np.zeros((2, 2))
-    ptm = np.zeros((2, 2))
-    um = np.zeros((2, 2))
-    wm = np.zeros((2, 2))
-    rm = np.zeros((2, 2))
-    rxm = np.zeros((2, 2))
-    rym = np.zeros((2, 2))
+    # (I + R W) applied to mask_j phi and mask_j psi gives Q_.j and P_.j on the
+    # grid, applied to K_{.,j}(., xi_j) the column R_{.,j}(., xi_j) (R = K + R W K);
+    # the transposed solve gives the rows R_{i,.}(xi_i, .) (R = K + K W R).
+    solved = _resolve(sol, np.hstack([mphi, mpsi, kcol[:, :size].T]))
+    q_grid, p_grid, rcol = solved[:, :2], solved[:, 2:4], solved[:, 4:]
+    rrow_w = _resolve(sol, krow[:, :size].T, trans=1) * wts[:, None]
 
-    for i in range(2):
-        for j in range(2):
-            mj = masks[j]
-            mi = masks[i]
-            delta = 1.0 if i == j else 0.0
-            qm[i, j] = delta * phi_xi[i] + (rrow[i][mj] * wts[mj]) @ phi_g[mj]
-            pmx[i, j] = delta * psi_xi[i] + (rrow[i][mj] * wts[mj]) @ psi_g[mj]
-            qt[i, j] = delta * phi_xi[j] + (wts[mi] * phi_g[mi]) @ rcol[j][mi]
-            ptm[i, j] = delta * psi_xi[j] + (wts[mi] * psi_g[mi]) @ rcol[j][mi]
-            um[i, j] = (wts[mi] * phi_g[mi]) @ q_grid[mi, j]
-            wm[i, j] = (wts[mi] * psi_g[mi]) @ p_grid[mi, j]
-
-            bi, bj = i + 1, j + 1
-            kij = block_from_rows(bi, bj, xi[i], xi[j], pxi[:, i], pxi[:, j], p)
-            rm[i, j] = kij + (rrow[i] * wts) @ kcol[j]
-            kij_x = block_dx_from_rows(bi, bj, xi[i], xi[j], dpxi[:, i], pxi[:, j], p)
-            rxm[i, j] = kij_x + (dkrow[i] * wts) @ rcol[j]
-            kij_y = block_dx_from_rows(bi, bj, xi[j], xi[i], dpxi[:, j], pxi[:, i], p)
-            rym[i, j] = kij_y + (rrow[i] * wts) @ dkcol[j]
+    qm = np.diag(phi_xi) + rrow_w.T @ mphi
+    pmx = np.diag(psi_xi) + rrow_w.T @ mpsi
+    qt = np.diag(phi_xi) + wphi.T @ rcol
+    ptm = np.diag(psi_xi) + wpsi.T @ rcol
+    um = wphi.T @ q_grid
+    wm = wpsi.T @ p_grid
+    rm = krow[:, size:] + rrow_w.T @ kcol[:, :size].T
+    rxm = dkrow[:, size:] + (dkrow[:, :size] * wts) @ rcol
+    rym = dkcol[:, size:].T + rrow_w.T @ dkcol[:, :size].T
 
     sig = p.sigma
     sig_m = sig * SIGMA3

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.special import erf
 from scipy.stats import multivariate_normal
 
 from coupled_gue import KernelParams, solve, resolvent_at
+from coupled_gue.kernel import kernel_block
 from coupled_gue.fredholm import THETA
 from coupled_gue.observables import hatted_vars, r_derivatives
 from coupled_gue.onematrix import solve_one_matrix
@@ -82,17 +85,47 @@ def test_solve_input_errors():
         solve(KernelParams(2, 0.5, 0.0, 0.3), m=7)
 
 
-def test_resolvent_reproduces_grid_values(bank):
-    sol = bank.sol(2, 0.5, 0.0, 0.3)
+def _nystrom_kernel(sol):
+    """Unsymmetrized Nystrom matrix K_{blk(a),blk(b)}(z_a, z_b), from kernel_block."""
+    p = sol.params
+    kfull = np.empty((sol.nodes.size, sol.nodes.size))
+    for bi in (1, 2):
+        for bj in (1, 2):
+            ia, jb = sol.blocks == bi, sol.blocks == bj
+            kfull[np.ix_(ia, jb)] = kernel_block(
+                bi, bj, sol.nodes[ia][:, None], sol.nodes[jb][None, :], p
+            )
+    return kfull
+
+
+@pytest.mark.parametrize("c", [0.1, 0.2, 0.5])
+@pytest.mark.parametrize("n", [2, 10, 20])
+def test_resolvent_reproduces_grid_values(bank, n, c):
+    x0 = math.sqrt(2.0 * n)
+    sol = bank.sol(n, c, x0 - 1.5, x0 - 1.0)
+    kfull = _nystrom_kernel(sol)
+    r_disc = np.linalg.solve(np.eye(kfull.shape[0]) - kfull * sol.weights, kfull)  # R = K + K W R
+    tol = 1e-14 * sol.cond * max(1.0, np.max(np.abs(r_disc)))
     for a in (0, 17, 64, 100):
-        x = sol.nodes[a]
         i = int(sol.blocks[a])
         for b in (3, 40, 90):
-            y = sol.nodes[b]
             j = int(sol.blocks[b])
-            assert resolvent_at(sol, i, j, x, y) == pytest.approx(
-                sol.r_disc[a, b], abs=1e-12 * max(1.0, abs(sol.r_disc[a, b]))
-            )
+            got = resolvent_at(sol, i, j, sol.nodes[a], sol.nodes[b])
+            assert abs(got - r_disc[a, b]) <= tol
+
+
+def test_solution_holds_only_the_lu_factor_as_a_matrix(bank):
+    # ln P and every resolvent value come from the LU factors of I - S K S;
+    # no other (2m, 2m) array (kernel, resolvent) is kept per point
+    sol = bank.sol(10, 0.5, 4.0, 4.5)
+    size = sol.nodes.size
+    square = [f.name for f in dataclasses.fields(sol)
+              if np.shape(getattr(sol, f.name)) == (size, size)]
+    assert square == ["lu"]
+    kmat = sol.sqrt_w[:, None] * _nystrom_kernel(sol) * sol.sqrt_w[None, :]
+    undone = sla.lu_solve((sol.lu, sol.piv), np.eye(size) - kmat)
+    assert np.max(np.abs(undone - np.eye(size))) <= 1e-12 * sol.cond
+    assert sol.log_prob == float(np.sum(np.log(np.abs(np.diag(sol.lu)))))
 
 
 @pytest.mark.parametrize("c", [0.03, 0.5])

@@ -8,6 +8,17 @@ stay within 1e-13 absolute and r, r_x, r_y, q, p within 1e-11 * max(1, |value|).
 A change that is meant to move these numbers (a new kernel route, truncation or
 node count) re-records them and says why.
 
+One point was re-recorded in part.  At n=20, c=0.9, xi=(3.3246, 3.8246) the
+condition estimate of I - K is 3.2e6, so eps * cond ~ 7e-10 and a change in the
+order of the resolvent solves moves r, r_x, r_y by more than 1e-11.  When
+endpoint_data moved from the full discrete resolvent to solves against the LU
+factors, they moved by 1.6e-11, 6.5e-11 and 2.9e-11.  A 40-digit mpmath solve
+of the same float64 system (the Nystrom matrix and the kernel rows, bit for bit
+the same in both versions) put the recorded values off by 1.9e-11, 7.2e-11 and
+2.8e-11 and the new ones by 5.9e-12, 7.0e-12 and 6.5e-12 (largest relative
+entry error of each matrix).  So r, r_x and r_y were re-recorded there; ln P,
+q and p at that point, and every other point, keep their values from 4fb7f94.
+
 The points cover n in {1, 2, 5, 10, 20}, c in {0.03, 0.3, 0.5, 0.9} (0.03 takes
 the direct K_12 tail, the others the Mehler route), endpoints near the soft
 edge sqrt(2n) where P is close to 1, and deep-tail endpoints down to
