@@ -43,7 +43,7 @@ import scipy.linalg as sla
 
 from .hermite import dphi_from_phi, phi_matrix
 from .kernel import KernelParams, block_dx_from_rows, block_from_rows, kernel_k_max
-from .quadrature import QuadratureGrid, ray_grid
+from .quadrature import ray_grid
 
 __all__ = [
     "FredholmError",
@@ -73,15 +73,13 @@ class FredholmSolution:
 
     params: KernelParams
     m: int
-    grids: tuple[QuadratureGrid, QuadratureGrid]
     nodes: np.ndarray        # (2m,) quadrature nodes, ray 1 then ray 2
     weights: np.ndarray      # (2m,) positive weights
     blocks: np.ndarray       # (2m,) ray label, 1 or 2
     sqrt_w: np.ndarray       # (2m,) square roots of the weights, S = diag(sqrt_w)
     lu: np.ndarray           # (2m, 2m) LU factors of I - kmat, kmat = S K S
     piv: np.ndarray          # (2m,) pivot indices of lu
-    log_prob: float          # ln det(I - kmat)
-    sign: int
+    log_prob: float          # ln det(I - kmat); solve() raises unless det > 0
     cond: float              # 1-norm condition estimate of I - kmat
 
     @property
@@ -164,7 +162,6 @@ def solve(p: KernelParams, m: int = 64) -> FredholmSolution:
     return FredholmSolution(
         params=p,
         m=m,
-        grids=(g1, g2),
         nodes=nodes,
         weights=weights,
         blocks=blocks,
@@ -172,7 +169,6 @@ def solve(p: KernelParams, m: int = 64) -> FredholmSolution:
         lu=lu,
         piv=piv,
         log_prob=log_prob,
-        sign=sign,
         cond=cond,
     )
 

@@ -10,59 +10,14 @@ so there is no overflow even for large k and |x|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["HermiteEval", "eval_phi_all", "eval_dphi", "phi_matrix", "dphi_from_phi", "dphi_matrix"]
+__all__ = ["phi_matrix", "dphi_from_phi"]
 
 # phi_0(x) = pi^(-1/4) exp(-x^2/2); computed in one exponential to avoid
 # underflow of the product of two small factors.
 _LOG_PI_4 = 0.25 * math.log(math.pi)
-
-
-@dataclass
-class HermiteEval:
-    """Values phi_0(x)..phi_{k_max}(x) at a single abscissa."""
-
-    k_max: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.k_max + 1,):
-            raise ValueError("values must have length k_max + 1")
-
-
-def eval_phi_all(k_max: int, x: float) -> HermiteEval:
-    """Evaluate phi_0..phi_{k_max} at x via the three-term recurrence.
-
-    phi_{k+1} = sqrt(2/(k+1)) x phi_k - sqrt(k/(k+1)) phi_{k-1}
-    """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
-    if not np.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    vals = np.empty(k_max + 1)
-    vals[0] = math.exp(-0.5 * x * x - _LOG_PI_4)
-    if k_max >= 1:
-        vals[1] = math.sqrt(2.0) * x * vals[0]
-    for k in range(1, k_max):
-        vals[k + 1] = (
-            math.sqrt(2.0 / (k + 1)) * x * vals[k]
-            - math.sqrt(k / (k + 1.0)) * vals[k - 1]
-        )
-    return HermiteEval(k_max=k_max, values=vals)
-
-
-def eval_dphi(k: int, x: float, phi: HermiteEval) -> float:
-    """Derivative d phi_k / dx = -x phi_k + sqrt(2k) phi_{k-1}."""
-    if k < 0 or k > phi.k_max:
-        raise ValueError(f"k={k} out of range for k_max={phi.k_max}")
-    d = -x * phi.values[k]
-    if k > 0:
-        d += math.sqrt(2.0 * k) * phi.values[k - 1]
-    return d
 
 
 def phi_matrix(k_max: int, x: np.ndarray) -> np.ndarray:
@@ -93,8 +48,3 @@ def dphi_from_phi(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
         out[k] = -x * phi[k] + math.sqrt(2.0 * k) * phi[k - 1]
     return out
 
-
-def dphi_matrix(k_max: int, x: np.ndarray) -> np.ndarray:
-    """Derivatives of phi_0..phi_{k_max} at the given abscissae."""
-    x = np.asarray(x, dtype=float)
-    return dphi_from_phi(phi_matrix(k_max, x), x)

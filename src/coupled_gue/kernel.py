@@ -13,15 +13,16 @@ The infinite sum in K_12 is evaluated through the Mehler closed form
 
 minus the first n terms.  For very small c that subtraction loses all
 precision against the c^(-n) prefactor, so below C_DIRECT the tail is summed
-directly (a short geometric sum there).  The brute-force tail sum also
-serves as the test oracle for the Mehler identity.
+directly (a short geometric sum there).  `_coef` holds, per block, the
+coefficients of the oscillator sum and the Mehler prefactor, so it alone
+chooses the K_12 route.
 
 `block_from_rows` and `block_dx_from_rows` hold the block formulas and their
 x-derivatives.  They read the oscillator rows phi_0..phi_K at x and y, with
 K = `kernel_k_max(n, c)`, so a caller that needs many blocks at the same
 abscissae (the Nystrom matrix, the endpoint rows and columns) evaluates the
-recurrence once.  `kernel_block`, `kernel_block_dx` and `kernel_entry` are
-thin wrappers that evaluate the rows themselves.
+recurrence once.  `kernel_block` and `kernel_block_dx` evaluate the rows
+themselves; they are the evaluation API for points and small arrays.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "kernel_k_max",
     "block_from_rows",
     "block_dx_from_rows",
-    "kernel_entry",
     "kernel_block",
     "kernel_block_dx",
 ]
@@ -98,7 +98,8 @@ def _tail_terms(n: int, c: float) -> int:
 
 def kernel_k_max(n: int, c: float) -> int:
     """Highest oscillator index the block formulas read at (n, c)."""
-    return _tail_terms(n, c) if c < C_DIRECT else n
+    k0, coef, _ = _coef(1, 2, n, c)
+    return max(n, k0 + coef.size - 1)
 
 
 def _weighted_sum(coef: np.ndarray, k0: int, ax: np.ndarray, py: np.ndarray):
@@ -107,19 +108,25 @@ def _weighted_sum(coef: np.ndarray, k0: int, ax: np.ndarray, py: np.ndarray):
     return np.einsum("k,k...,k...->...", coef, ax[k0:k1], py[k0:k1])
 
 
-def _k21_coef(n: int, c: float) -> np.ndarray:
-    return c ** (float(n) - np.arange(n))
+def _coef(i: int, j: int, n: int, c: float):
+    """Block (i, j) as sum_k coef_{k-k0} phi_k(x) phi_k(y) - mehler * Mehler(x, y).
 
+    Returns (k0, coef, mehler); mehler is None except on the Mehler route of
+    K_12.  This is the one place the K_12 route is chosen:
 
-def _partial_coef(n: int, c: float) -> np.ndarray:
-    """c^(k-n) for k < n: the Mehler terms the K_12 tail leaves out."""
-    return c ** (np.arange(n) - float(n))
-
-
-def _direct_tail_coef(n: int, c: float) -> np.ndarray:
-    """c^(k-n) for k = n .. _tail_terms(n, c)."""
-    ks = np.arange(n, _tail_terms(n, c) + 1)
-    return c ** (ks - n)
+        K_11 = K_22:   k0 = 0, coef = 1                       (k < n)
+        K_21:          k0 = 0, coef = c^(n-k)                  (k < n)
+        K_12, c <  C_DIRECT:  k0 = n, coef = -c^(k-n)  (k = n .. _tail_terms)
+        K_12, c >= C_DIRECT:  k0 = 0, coef = c^(k-n)   (k < n), mehler = c^(-n)
+    """
+    if i == j:
+        return 0, np.ones(n), None
+    if i == 2:
+        return 0, c ** (float(n) - np.arange(n)), None
+    if c < C_DIRECT:
+        ks = np.arange(n, _tail_terms(n, c) + 1)
+        return n, -(c ** (ks - n)), None
+    return 0, c ** (np.arange(n) - float(n)), c ** (-n)
 
 
 def _christoffel_darboux(n: int, x, y, px, py):
@@ -139,72 +146,35 @@ def _christoffel_darboux(n: int, x, y, px, py):
     return cd
 
 
-def _tail(n: int, c: float, x, y, px, py):
-    """c^(-n) * sum_{k>=n} c^k phi_k(x) phi_k(y); K_12 = -_tail."""
-    if c < C_DIRECT:
-        return _weighted_sum(_direct_tail_coef(n, c), n, px, py)
-    partial = _weighted_sum(_partial_coef(n, c), 0, px, py)
-    return c ** (-n) * mehler_sum(c, x, y) - partial
-
-
 def block_from_rows(i: int, j: int, x, y, px, py, p: KernelParams):
     """Kernel block (i, j) at (x, y), which broadcast together.
 
     px, py are the oscillator rows phi_0..phi_K at x and y (leading axis k,
-    K >= kernel_k_max(n, c)); the block indices must be 1 or 2.
+    K >= kernel_k_max(n, c)); the block indices must be 1 or 2.  The diagonal
+    blocks take the Christoffel-Darboux form, the others the table of _coef.
     """
-    n, c = p.n, p.c
     if i == j:
-        return _christoffel_darboux(n, x, y, px, py)
-    if i == 2:
-        return _weighted_sum(_k21_coef(n, c), 0, px, py)
-    return -_tail(n, c, x, y, px, py)
+        return _christoffel_darboux(p.n, x, y, px, py)
+    k0, coef, mehler = _coef(i, j, p.n, p.c)
+    out = _weighted_sum(coef, k0, px, py)
+    return out if mehler is None else out - mehler * mehler_sum(p.c, x, y)
 
 
 def block_dx_from_rows(i: int, j: int, x, y, dpx, py, p: KernelParams):
     """d/dx of kernel block (i, j) at (x, y), from the rows dphi_k(x), phi_k(y).
 
-    The diagonal blocks differentiate the direct partial sum, not the
-    Christoffel-Darboux quotient; the Mehler route of K_12 differentiates the
-    closed form, the direct route the term-by-term sum.
+    Every block differentiates its _coef sum term by term (the diagonal
+    blocks the direct partial sum, not the Christoffel-Darboux quotient); the
+    Mehler route of K_12 also differentiates the closed form.
     """
-    n, c = p.n, p.c
-    if i == j:
-        return _weighted_sum(np.ones(n), 0, dpx, py)
-    if i == 2:
-        return _weighted_sum(_k21_coef(n, c), 0, dpx, py)
-    if c < C_DIRECT:
-        return -_weighted_sum(_direct_tail_coef(n, c), n, dpx, py)
+    c = p.c
+    k0, coef, mehler = _coef(i, j, p.n, c)
+    out = _weighted_sum(coef, k0, dpx, py)
+    if mehler is None:
+        return out
     one_m = 1.0 - c * c
     dmehler = mehler_sum(c, x, y) * (4.0 * y * c - 2.0 * x * (1.0 + c * c)) / (2.0 * one_m)
-    return -(c ** (-n) * dmehler - _weighted_sum(_partial_coef(n, c), 0, dpx, py))
-
-
-def _scalar_or_array(out):
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def hermite_kernel_n(n: int, x, y):
-    """sum_{k<n} phi_k(x) phi_k(y) (Christoffel-Darboux form)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return _scalar_or_array(_christoffel_darboux(n, x, y, phi_matrix(n, x), phi_matrix(n, y)))
-
-
-def _tail_sum_direct(n: int, c: float, x, y):
-    """sum_{k>=n} c^(k-n) phi_k(x) phi_k(y), summed term by term."""
-    k_hi = _tail_terms(n, c)
-    px = phi_matrix(k_hi, np.asarray(x, dtype=float))
-    py = phi_matrix(k_hi, np.asarray(y, dtype=float))
-    return _weighted_sum(_direct_tail_coef(n, c), n, px, py)
-
-
-def tail_block(n: int, c: float, x, y):
-    """c^(-n) * sum_{k>=n} c^k phi_k phi_k; K_12 = -tail_block."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    k = kernel_k_max(n, c)
-    return _scalar_or_array(_tail(n, c, x, y, phi_matrix(k, x), phi_matrix(k, y)))
+    return out - mehler * dmehler
 
 
 def _check_blocks(i: int, j: int) -> None:
@@ -219,11 +189,6 @@ def kernel_block(i: int, j: int, x, y, p: KernelParams):
     y = np.asarray(y, dtype=float)
     k = kernel_k_max(p.n, p.c)
     return block_from_rows(i, j, x, y, phi_matrix(k, x), phi_matrix(k, y), p)
-
-
-def kernel_entry(i: int, j: int, x: float, y: float, p: KernelParams) -> float:
-    """Kernel block (i, j) at a single point, i, j in {1, 2}."""
-    return float(kernel_block(i, j, x, y, p))
 
 
 def kernel_block_dx(i: int, j: int, x, y, p: KernelParams):

@@ -1,9 +1,13 @@
 """Scalar Hermite-kernel Fredholm machinery for a single GUE matrix.
 
-Independent oracle path: none of this shares assembly code with the 2x2
-block engine.  Provides the largest-eigenvalue probability det(I - K_n) on
-(xi, inf), endpoint scalars (resolvent value r, q, p and the inner products
-u, w), and the Painleve IV combination those quantities satisfy,
+Independent oracle path: it shares only the oscillator table `phi_matrix` and
+the ray grid with the 2x2 block engine, and none of `kernel` or `fredholm`.
+Its kernel is the direct partial sum K_n(x, y) = sum_{k<n} phi_k(x) phi_k(y),
+one matrix product on the oscillator table, not the engine's
+Christoffel-Darboux form.  Provides the largest-eigenvalue probability
+det(I - K_n) on (xi, inf), endpoint scalars (resolvent value r, q, p and the
+inner products u, w), and the Painleve IV combination those quantities
+satisfy,
 
     (X')^2 - 2 X^2 (X - 4n) - G1^2 = 0,
     X = -2 r',   G1 = 4 (r - xi r'),
@@ -20,7 +24,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from .hermite import phi_matrix
-from .kernel import hermite_kernel_n
 from .quadrature import ray_grid
 
 __all__ = ["OneMatrixData", "solve_one_matrix", "painleve_iv_residual"]
@@ -47,8 +50,10 @@ def solve_one_matrix(n: int, xi: float, m: int = 64) -> OneMatrixData:
     grid = ray_grid(xi, n, m)
     z, wts = grid.nodes, grid.weights
     sw = np.sqrt(wts)
-    kfull = hermite_kernel_n(n, z[:, None], z[None, :])
-    kmat = sw[:, None] * kfull * sw[None, :]
+    # phi_0..phi_n at the nodes, then at xi; K_n on (z, xi) x (z, xi).
+    pm = phi_matrix(n, np.append(z, xi))
+    kall = pm[:n].T @ pm[:n]
+    kmat = sw[:, None] * kall[:m, :m] * sw[None, :]
     mat = np.eye(m) - kmat
     lu, piv = sla.lu_factor(mat)
     diag = np.diag(lu)
@@ -59,17 +64,13 @@ def solve_one_matrix(n: int, xi: float, m: int = 64) -> OneMatrixData:
     r_disc = sla.lu_solve((lu, piv), kmat) / (sw[:, None] * sw[None, :])
 
     scale = (n / 2.0) ** 0.25
-    pm = phi_matrix(n, z)
-    phi_g = scale * pm[n]
-    psi_g = scale * pm[n - 1]
-    pm_xi = phi_matrix(n, np.array([xi]))
-    phi_xi = scale * pm_xi[n][0]
-    psi_xi = scale * pm_xi[n - 1][0]
+    phi_g, phi_xi = scale * pm[n, :m], scale * pm[n, m]
+    psi_g, psi_xi = scale * pm[n - 1, :m], scale * pm[n - 1, m]
 
     # Resolvent row at the endpoint: R(xi, z_b) = K + K W R
-    krow = hermite_kernel_n(n, xi, z)
+    krow = kall[m, :m]
     rrow = krow + (krow * wts) @ r_disc
-    r_val = float(hermite_kernel_n(n, xi, xi) + (rrow * wts) @ krow)
+    r_val = float(kall[m, m] + (rrow * wts) @ krow)
 
     q_val = float(phi_xi + (rrow * wts) @ phi_g)
     p_val = float(psi_xi + (rrow * wts) @ psi_g)

@@ -182,6 +182,13 @@ def _d_c(f, x1, x2, c, hc):
     return (f(x1, x2, c + hc) - f(x1, x2, c - hc)) / (2.0 * hc)
 
 
+def _a0(x1, x2, c, d1, d2, dc, tilde=False):
+    """A_0 = x1 D_1 + c^2 x2 D_2 - (1-c^2) c D_c on given partials; tilde: At_0 (1 <-> 2)."""
+    if tilde:
+        x1, x2, d1, d2 = x2, x1, d2, d1
+    return x1 * d1 + c * c * x2 * d2 - (1.0 - c * c) * c * dc
+
+
 def _mk_report(eq, cache, center, residual, terms, tol, status="ok", extras=None):
     x1, x2, c = center
     scale = max((abs(t) for t in terms), default=0.0)
@@ -262,22 +269,15 @@ def _eval_theorem1(cache, center, st, tol=1e-4):
     pt = cache.point(x1, x2, c)
     d = pt.derived
     uw = pt.uw
-    sig = math.sqrt(d.sigma2)
     a2t = _a2t_exact(d, c)
     at2t = _a2t_exact(d, c, tilde=True)
 
-    def a_of(which):
+    def a_of(which, sign):
+        """A (sign +1) or At (sign -1) applied to the field U or W."""
         def fval(a, b, cc):
             s = (1.0 - cc) / (1.0 + cc)
             u = cache.point(a, b, cc).uw
-            return (1.0 + cc) / 2.0 * (u["Dp" + which] + s * u["Dm" + which])
-        return fval
-
-    def at_of(which):
-        def fval(a, b, cc):
-            s = (1.0 - cc) / (1.0 + cc)
-            u = cache.point(a, b, cc).uw
-            return (1.0 + cc) / 2.0 * (u["Dp" + which] - s * u["Dm" + which])
+            return (1.0 + cc) / 2.0 * (u["Dp" + which] + sign * s * u["Dm" + which])
         return fval
 
     reports = _eval_toda00(cache, center, st, eq_id="thm1_00", tol=1e-6)
@@ -287,10 +287,10 @@ def _eval_theorem1(cache, center, st, tol=1e-4):
         d1 = (uw["Dp" + which] + uw["Dm" + which]) / 2.0
         d2 = (uw["Dp" + which] - uw["Dm" + which]) / 2.0
         dc = _d_c(cache.f(which), x1, x2, c, st.h_c)
-        a0 = x1 * d1 + c * c * x2 * d2 - (1.0 - c * c) * c * dc
-        at0 = x2 * d2 + c * c * x1 * d1 - (1.0 - c * c) * c * dc
-        a2v = _d_dir(a_of(which), x1, x2, c, (1.0, c), st.h_xi, st.order)
-        at2v = _d_dir(at_of(which), x1, x2, c, (c, 1.0), st.h_xi, st.order)
+        a0 = _a0(x1, x2, c, d1, d2, dc)
+        at0 = _a0(x1, x2, c, d1, d2, dc, tilde=True)
+        a2v = _d_dir(a_of(which, 1.0), x1, x2, c, (1.0, c), st.h_xi, st.order)
+        at2v = _d_dir(a_of(which, -1.0), x1, x2, c, (c, 1.0), st.h_xi, st.order)
         res_t = a2v + 2.0 * sgn * a0 + 2.0 * a2t * val
         res_s = at2v + 2.0 * sgn * at0 + 2.0 * at2t * val
         reports.append(
@@ -313,10 +313,25 @@ def _a0t_field(cache, tilde=False, hc=1e-3):
         d = cache.point(x1, x2, c).derived
         d1t = (d.r_t + d.r_3) / 2.0
         d2t = (d.r_t - d.r_3) / 2.0
-        dct = _d_c(t_field, x1, x2, c, hc)
-        if tilde:
-            return x2 * d2t + c * c * x1 * d1t - (1.0 - c * c) * c * dct
-        return x1 * d1t + c * c * x2 * d2t - (1.0 - c * c) * c * dct
+        return _a0(x1, x2, c, d1t, d2t, _d_c(t_field, x1, x2, c, hc), tilde)
+
+    return fval
+
+
+def _g_field(cache, h, order, hc, tilde=False):
+    """G = A T - At A_0 T / (2c) as a field; tilde: G~ = At T - A At_0 T / (2c).
+
+    A = D_1 + c D_2 = (1+c)/2 (D_+ + sigma D_-), At = c D_1 + D_2 (1 <-> 2).
+    """
+    a0t = _a0t_field(cache, tilde, hc)
+    sign = -1.0 if tilde else 1.0
+
+    def fval(a, b, cc):
+        d = cache.point(a, b, cc).derived
+        s = math.sqrt(d.sigma2)
+        a_t = (1.0 + cc) / 2.0 * (d.r_t + sign * s * d.r_3)
+        dirv = (1.0, cc) if tilde else (cc, 1.0)
+        return a_t - _d_dir(a0t, a, b, cc, dirv, h, order) / (2.0 * cc)
 
     return fval
 
@@ -334,23 +349,15 @@ def _f_field(cache):
 def _eval_avm(cache, center, st, tol=1e-4):
     x1, x2, c = center
     st.check_c(c)
-    a0t = _a0t_field(cache, tilde=False, hc=st.h_c)
-    a0t_t = _a0t_field(cache, tilde=True, hc=st.h_c)
     ff = _f_field(cache)
+    g_f = _g_field(cache, st.h_xi, st.order, st.h_c)
+    gt_f = _g_field(cache, st.h_xi, st.order, st.h_c, tilde=True)
 
     def g_over_f(a, b, cc):
-        d = cache.point(a, b, cc).derived
-        s = math.sqrt(d.sigma2)
-        at_ = (1.0 + cc) / 2.0 * (d.r_t + s * d.r_3)
-        g = at_ - _d_dir(a0t, a, b, cc, (cc, 1.0), st.h_xi, st.order) / (2.0 * cc)
-        return g / ff(a, b, cc)
+        return g_f(a, b, cc) / ff(a, b, cc)
 
     def gt_over_f(a, b, cc):
-        d = cache.point(a, b, cc).derived
-        s = math.sqrt(d.sigma2)
-        att = (1.0 + cc) / 2.0 * (d.r_t - s * d.r_3)
-        gt = att - _d_dir(a0t_t, a, b, cc, (1.0, cc), st.h_xi, st.order) / (2.0 * cc)
-        return gt / ff(a, b, cc)
+        return gt_f(a, b, cc) / ff(a, b, cc)
 
     f0 = ff(x1, x2, c)
     status = "degenerate" if abs(f0) < _FHAT_GUARD else "ok"
@@ -625,33 +632,17 @@ def _eval_higher(cache, center, st, tol=1e-2):
     def at2t_f(a, b, cc):
         return _a2t_exact(cache.point(a, b, cc).derived, cc, tilde=True)
 
-    def g_f(a, b, cc):
-        d = cache.point(a, b, cc).derived
-        s = math.sqrt(d.sigma2)
-        at_ = (1.0 + cc) / 2.0 * (d.r_t + s * d.r_3)
-        return at_ - _d_dir(a0t, a, b, cc, (cc, 1.0), h, 2) / (2.0 * cc)
+    g_f = _g_field(cache, h, 2, hc)
+    gt_f = _g_field(cache, h, 2, hc, tilde=True)
 
-    def gt_f(a, b, cc):
-        d = cache.point(a, b, cc).derived
-        s = math.sqrt(d.sigma2)
-        att = (1.0 + cc) / 2.0 * (d.r_t - s * d.r_3)
-        return att - _d_dir(a0t_t, a, b, cc, (1.0, cc), h, 2) / (2.0 * cc)
-
-    def a0_apply(f, a, b, cc):
+    def a0_apply(f, a, b, cc, tilde=False):
         d1v = _d_dir(f, a, b, cc, (1, 0), h, 2)
         d2v = _d_dir(f, a, b, cc, (0, 1), h, 2)
-        dcv = _d_c(f, a, b, cc, hc)
-        return a * d1v + cc * cc * b * d2v - (1.0 - cc * cc) * cc * dcv
-
-    def a0t_apply(f, a, b, cc):
-        d1v = _d_dir(f, a, b, cc, (1, 0), h, 2)
-        d2v = _d_dir(f, a, b, cc, (0, 1), h, 2)
-        dcv = _d_c(f, a, b, cc, hc)
-        return b * d2v + cc * cc * a * d1v - (1.0 - cc * cc) * cc * dcv
+        return _a0(a, b, cc, d1v, d2v, _d_c(f, a, b, cc, hc), tilde)
 
     reports = []
 
-    def t1_like(eq_id, adir, a0_field, a2t_field, g_field, a0_app):
+    def t1_like(eq_id, adir, a0_field, a2t_field, g_field, tilde):
         def inner_lhs(a, b, cc):
             dirv = (1.0, cc) if adir == "A" else (cc, 1.0)
             a2f_ = _d_dir(
@@ -668,7 +659,7 @@ def _eval_higher(cache, center, st, tol=1e-2):
         def inner_rhs(a, b, cc):
             a2tv = a2t_field(a, b, cc)
             return (0.5 / cc) * a2tv * a2tv + (1.0 / cc) * (
-                a0_app(a0_field, a, b, cc) + 2.0 * a0_field(a, b, cc)
+                a0_apply(a0_field, a, b, cc, tilde) + 2.0 * a0_field(a, b, cc)
             )
 
         dir_main = (1.0, c) if adir == "A" else (c, 1.0)
@@ -677,19 +668,16 @@ def _eval_higher(cache, center, st, tol=1e-2):
         rhs = -_d_dir(inner_rhs, x1, x2, c, dir_dual, h, 2)
         reports.append(_mk_report(eq_id, cache, center, lhs - rhs, [lhs, rhs], tol))
 
-    t1_like("app_T1", "A", a0t, a2t_f, g_f, a0_apply)
-    t1_like("app_T2", "At", a0t_t, at2t_f, gt_f, a0t_apply)
+    t1_like("app_T1", "A", a0t, a2t_f, g_f, False)
+    t1_like("app_T2", "At", a0t_t, at2t_f, gt_f, True)
 
     # AG0 / tAG0 need G0 = W A0 U - U A0 W (and the dual)
     u_f, w_f = cache.f("U"), cache.f("W")
 
-    def g0_f(a, b, cc):
+    def g0_f(a, b, cc, tilde=False):
         pt = cache.point(a, b, cc)
-        return pt.uw["W"] * a0_apply(u_f, a, b, cc) - pt.uw["U"] * a0_apply(w_f, a, b, cc)
-
-    def g0t_f(a, b, cc):
-        pt = cache.point(a, b, cc)
-        return pt.uw["W"] * a0t_apply(u_f, a, b, cc) - pt.uw["U"] * a0t_apply(w_f, a, b, cc)
+        return (pt.uw["W"] * a0_apply(u_f, a, b, cc, tilde)
+                - pt.uw["U"] * a0_apply(w_f, a, b, cc, tilde))
 
     def ag0_inner(a, b, cc):
         af = _d_dir(ff, a, b, cc, (1.0, cc), h, 2)
@@ -710,13 +698,13 @@ def _eval_higher(cache, center, st, tol=1e-2):
     def tag0_inner(a, b, cc):
         atf = _d_dir(ff, a, b, cc, (cc, 1.0), h, 2)
         gtv = gt_f(a, b, cc)
-        return g0t_f(a, b, cc) + (atf * atf - gtv * gtv) / (4.0 * ff(a, b, cc)) \
+        return g0_f(a, b, cc, True) + (atf * atf - gtv * gtv) / (4.0 * ff(a, b, cc)) \
             - 2.0 * a0t_t(a, b, cc)
 
     def tag0_rhs(a, b, cc):
         at2tv = _a2t_exact(cache.point(a, b, cc).derived, cc, tilde=True)
         return (0.25 / cc) * at2tv * at2tv + (0.5 / cc) * (
-            a0t_apply(a0t_t, a, b, cc) + 2.0 * a0t_t(a, b, cc)
+            a0_apply(a0t_t, a, b, cc, True) + 2.0 * a0t_t(a, b, cc)
         )
 
     lhs = _d_dir(tag0_inner, x1, x2, c, (c, 1.0), h, 2)

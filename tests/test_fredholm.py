@@ -74,7 +74,6 @@ def test_decoupling_limit(bank, n):
 
 def test_solution_invariants(bank):
     sol = bank.sol(2, 0.5, 0.0, 0.3)
-    assert sol.sign == 1
     assert sol.log_prob < 0.0
     assert math.isfinite(sol.cond)
     assert np.all(sol.weights > 0)
@@ -236,3 +235,14 @@ def test_one_matrix_painleve_iv(bank):
         for xi in (-0.5, 0.0, 1.0):
             res, scale = painleve_iv_residual(n, xi, 64)
             assert abs(res) <= 1e-9 * scale
+
+
+def test_one_matrix_oracle_shares_no_engine_code():
+    """The oracle builds its own kernel: it holds nothing defined in kernel or fredholm."""
+    import coupled_gue.onematrix as om
+
+    engine = {"coupled_gue.kernel", "coupled_gue.fredholm"}
+    borrowed = [name for name, obj in vars(om).items()
+                if getattr(obj, "__module__", None) in engine
+                or getattr(obj, "__name__", None) in engine]
+    assert borrowed == []

@@ -1,0 +1,39 @@
+"""Golden residual reports: every equation, higher-order ones included, at two centers.
+
+These values pin refactors of `residuals`, not accuracy: the other residual
+tests check only pass/fail.  They were recorded with `repr` (stored as JSON,
+which round-trips floats exactly) from `evaluate(..., include_higher=True)`
+with the default stencil and m = 64, at two well-conditioned centers, before
+the A_0 operator and the G fields of `residuals` were written once each.
+
+The status must match exactly, and residual and scale within 1e-9 * scale.
+That bound is far above the noise of reordering the nested finite
+differences (about 1e-11 relative) and far below what a change of formula
+moves.  A change meant to move residuals re-records this file and says why;
+exact coupling derivatives in place of the c-differences are such a change.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from coupled_gue.residuals import PointCache, evaluate
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_residuals.json").read_text())
+
+
+def _center_id(g):
+    return f"n{g['n']}-c{g['c']}-xi{g['xi'][0]}_{g['xi'][1]}"
+
+
+@pytest.mark.parametrize("g", GOLDEN, ids=_center_id)
+def test_golden_residuals(g):
+    reports = evaluate(PointCache(g["n"], 64), (g["xi"][0], g["xi"][1], g["c"]),
+                       include_higher=True)
+    assert [r.equation for r in reports] == [w["equation"] for w in g["reports"]]
+    for rep, want in zip(reports, g["reports"]):
+        assert rep.status == want["status"], rep.equation
+        bound = 1e-9 * want["scale"]
+        assert abs(rep.residual - want["residual"]) <= bound, rep.equation
+        assert abs(rep.scale - want["scale"]) <= bound, rep.equation

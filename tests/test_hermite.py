@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_hermite
 
-from coupled_gue.hermite import eval_phi_all, eval_dphi, phi_matrix, dphi_matrix
+from coupled_gue.hermite import dphi_from_phi, phi_matrix
 from coupled_gue.quadrature import gauss_legendre
 
 
@@ -14,24 +14,29 @@ def phi_reference(k, x):
     return eval_hermite(k, x) * math.exp(-0.5 * x * x) / norm
 
 
+def phi_at(k_max, x):
+    """phi_0..phi_{k_max} at the single abscissa x."""
+    return phi_matrix(k_max, np.array([x]))[:, 0]
+
+
 def test_phi0_at_zero():
-    assert eval_phi_all(0, 0.0).values[0] == pytest.approx(math.pi**-0.25, abs=1e-15)
+    assert phi_at(0, 0.0)[0] == pytest.approx(math.pi**-0.25, abs=1e-15)
 
 
 def test_phi1_at_zero_odd():
-    assert eval_phi_all(1, 0.0).values[1] == 0.0
+    assert phi_at(1, 0.0)[1] == 0.0
 
 
 def test_phi2_at_zero():
     # H_2 = 4x^2 - 2 with norm sqrt(2^2 2! sqrt(pi))
     expected = -2.0 / math.sqrt(8.0 * math.sqrt(math.pi))
-    assert eval_phi_all(2, 0.0).values[2] == pytest.approx(expected, abs=1e-15)
+    assert phi_at(2, 0.0)[2] == pytest.approx(expected, abs=1e-15)
     assert expected == pytest.approx(-0.53112, abs=1e-5)
 
 
 @pytest.mark.parametrize("x", [-3.1, -0.5, 0.0, 1.7, 5.3])
 def test_recurrence_residual_machine_precision(x):
-    phi = eval_phi_all(50, x).values
+    phi = phi_at(50, x)
     for k in range(1, 50):
         lhs = phi[k + 1]
         rhs = math.sqrt(2.0 / (k + 1)) * x * phi[k] - math.sqrt(k / (k + 1.0)) * phi[k - 1]
@@ -39,11 +44,11 @@ def test_recurrence_residual_machine_precision(x):
 
 
 def test_reference_formula_agreement():
+    xs = np.array([-2.5, -1.0, 0.3, 2.0, 4.0])
+    vals = phi_matrix(12, xs)
     for k in range(13):
-        for x in (-2.5, -1.0, 0.3, 2.0, 4.0):
-            assert eval_phi_all(k, x).values[k] == pytest.approx(
-                phi_reference(k, x), abs=1e-12
-            )
+        for j, x in enumerate(xs):
+            assert vals[k, j] == pytest.approx(phi_reference(k, x), abs=1e-12)
 
 
 def test_uniform_bound():
@@ -53,10 +58,9 @@ def test_uniform_bound():
 
 
 def test_no_overflow_large_arguments():
-    vals = eval_phi_all(1000, 40.0).values
-    assert np.all(np.isfinite(vals))
     vals = phi_matrix(1000, np.array([-40.0, 40.0]))
     assert np.all(np.isfinite(vals))
+    assert np.all(np.isfinite(dphi_from_phi(vals, np.array([-40.0, 40.0]))))
 
 
 def test_orthonormality_with_quadrature():
@@ -71,42 +75,37 @@ def test_orthonormality_with_quadrature():
 
 
 def test_dphi_examples():
-    phi = eval_phi_all(2, 0.0)
-    assert eval_dphi(0, 0.0, phi) == 0.0
+    dphi = dphi_from_phi(phi_matrix(2, np.array([0.0])), np.array([0.0]))[:, 0]
+    assert dphi[0] == 0.0
     expected = math.sqrt(2.0) * math.pi**-0.25
-    assert eval_dphi(1, 0.0, phi) == pytest.approx(expected, abs=1e-15)
+    assert dphi[1] == pytest.approx(expected, abs=1e-15)
     assert expected == pytest.approx(1.06225, abs=1e-5)
 
 
 @pytest.mark.parametrize("x", [-3.0, 0.0, 2.0, 5.0])
 def test_dphi_matches_central_differences(x):
     h = 1e-5
-    up = eval_phi_all(30, x + h).values
-    dn = eval_phi_all(30, x - h).values
-    phi = eval_phi_all(30, x)
+    up = phi_at(30, x + h)
+    dn = phi_at(30, x - h)
+    dphi = dphi_from_phi(phi_matrix(30, np.array([x])), np.array([x]))[:, 0]
     for k in range(31):
         fd = (up[k] - dn[k]) / (2 * h)
-        assert abs(eval_dphi(k, x, phi) - fd) < 1e-8
+        assert abs(dphi[k] - fd) < 1e-8
 
 
-def test_dphi_matrix_consistency():
+def test_dphi_from_phi_on_a_grid():
+    """Each column of dphi_from_phi on a vector of abscissae is its one-point value."""
     xs = np.array([-2.0, 0.5, 3.0])
-    dm = dphi_matrix(10, xs)
+    dm = dphi_from_phi(phi_matrix(10, xs), xs)
     for j, x in enumerate(xs):
-        phi = eval_phi_all(10, x)
-        for k in range(11):
-            assert dm[k, j] == pytest.approx(eval_dphi(k, x, phi), abs=1e-14)
+        one = dphi_from_phi(phi_matrix(10, np.array([x])), np.array([x]))[:, 0]
+        assert np.array_equal(dm[:, j], one)
 
 
 def test_input_errors():
     with pytest.raises(ValueError):
-        eval_phi_all(-1, 0.0)
+        phi_matrix(-1, np.array([0.0]))
     with pytest.raises(ValueError):
-        eval_phi_all(3, math.nan)
+        phi_matrix(3, np.array([0.0, math.nan]))
     with pytest.raises(ValueError):
-        eval_phi_all(3, math.inf)
-    phi = eval_phi_all(3, 0.0)
-    with pytest.raises(ValueError):
-        eval_dphi(4, 0.0, phi)
-    with pytest.raises(ValueError):
-        eval_dphi(-1, 0.0, phi)
+        phi_matrix(3, math.inf)

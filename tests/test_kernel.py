@@ -7,11 +7,9 @@ from coupled_gue.hermite import phi_matrix
 from coupled_gue.kernel import (
     C_DIRECT,
     KernelParams,
+    kernel_block,
     kernel_block_dx,
-    kernel_entry,
     mehler_sum,
-    hermite_kernel_n,
-    tail_block,
 )
 
 
@@ -21,6 +19,10 @@ def direct_geometric_sum(c, x, y, k_max=300, k_min=0, shift=0):
     py = phi_matrix(k_max, np.asarray(y, dtype=float))
     ks = np.arange(k_min, k_max + 1)
     return np.einsum("k,k...,k...->...", c ** (ks - float(shift)), px[k_min:], py[k_min:])
+
+
+def entry(i, j, x, y, p):
+    return float(kernel_block(i, j, x, y, p))
 
 
 def test_params_validation():
@@ -57,29 +59,30 @@ def test_mehler_input_error():
         mehler_sum(1.0, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("c", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("c", [0.03, C_DIRECT, 0.2, 0.5, 0.9])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_block12_closed_form_vs_direct(c, n):
+    """Both K_12 routes (direct tail below C_DIRECT, Mehler from it on) against brute force."""
     xs = np.linspace(-4.0, 8.0, 9)
     p = KernelParams(n, c, 0.0, 0.0)
     for x in xs:
         for y in xs[::2]:
             direct = -float(direct_geometric_sum(c, x, y, 300, k_min=n, shift=n))
-            assert kernel_entry(1, 2, x, y, p) == pytest.approx(direct, abs=1e-12)
+            assert entry(1, 2, x, y, p) == pytest.approx(direct, abs=1e-12)
 
 
 def test_diagonal_block_n1_at_zero():
     p = KernelParams(1, 0.5, 0.0, 0.0)
-    assert kernel_entry(1, 1, 0.0, 0.0, p) == pytest.approx(
+    assert entry(1, 1, 0.0, 0.0, p) == pytest.approx(
         math.pi**-0.5, abs=1e-15
     )
-    assert kernel_entry(2, 2, 0.0, 0.0, p) == kernel_entry(1, 1, 0.0, 0.0, p)
+    assert entry(2, 2, 0.0, 0.0, p) == entry(1, 1, 0.0, 0.0, p)
 
 
 def test_block12_n1_at_zero():
     p = KernelParams(1, 0.5, 0.0, 0.0)
     expected = -2.0 * (mehler_sum(0.5, 0.0, 0.0) - math.pi**-0.5)
-    assert kernel_entry(1, 2, 0.0, 0.0, p) == pytest.approx(expected, abs=1e-13)
+    assert entry(1, 2, 0.0, 0.0, p) == pytest.approx(expected, abs=1e-13)
 
 
 def test_block21_weighted_partial_sum():
@@ -89,13 +92,13 @@ def test_block21_weighted_partial_sum():
     px = phi_matrix(n - 1, np.array([x]))[:, 0]
     py = phi_matrix(n - 1, np.array([y]))[:, 0]
     expected = float(np.sum(c ** (n - np.arange(n)) * px * py))
-    assert kernel_entry(2, 1, x, y, p) == pytest.approx(expected, abs=1e-14)
+    assert entry(2, 1, x, y, p) == pytest.approx(expected, abs=1e-14)
 
 
 def test_block21_coupling_to_one_limit():
     pa = KernelParams(2, 1.0 - 1e-9, 0.1, 0.4)
-    assert kernel_entry(2, 1, 0.3, 0.9, pa) == pytest.approx(
-        kernel_entry(1, 1, 0.3, 0.9, pa), rel=1e-7
+    assert entry(2, 1, 0.3, 0.9, pa) == pytest.approx(
+        entry(1, 1, 0.3, 0.9, pa), rel=1e-7
     )
 
 
@@ -104,38 +107,27 @@ def test_block_argument_symmetry(blocks):
     i, j = blocks
     p = KernelParams(3, 0.6, 0.0, 0.0)
     for x, y in ((0.2, 1.7), (-1.0, 3.3), (5.0, -0.4)):
-        assert kernel_entry(i, j, x, y, p) == pytest.approx(
-            kernel_entry(i, j, y, x, p), rel=1e-13, abs=1e-15
+        assert entry(i, j, x, y, p) == pytest.approx(
+            entry(i, j, y, x, p), rel=1e-13, abs=1e-15
         )
 
 
 def test_christoffel_darboux_vs_partial_sum():
+    """The diagonal block, with its confluent pairs, against the direct partial sum."""
     for n in (1, 2, 5):
+        p = KernelParams(n, 0.5, 0.0, 0.0)
         for x, y in ((0.1, 2.0), (1.0, 1.0 + 1e-9), (0.5, 0.5), (-2.0, 4.0)):
-            direct = float(
-                np.einsum("k,k,k->", np.ones(n), phi_matrix(n - 1, np.array([x]))[:, 0],
-                           phi_matrix(n - 1, np.array([y]))[:, 0])
-            ) if n > 0 else 0.0
-            assert hermite_kernel_n(n, x, y) == pytest.approx(direct, abs=1e-13)
+            direct = float(phi_matrix(n - 1, np.array([x]))[:, 0]
+                           @ phi_matrix(n - 1, np.array([y]))[:, 0])
+            assert entry(1, 1, x, y, p) == pytest.approx(direct, abs=1e-13)
 
 
-def test_hybrid_tail_routes_agree_at_switch():
-    from coupled_gue.kernel import _tail_sum_direct
-
-    for c in (C_DIRECT, 0.2, 0.6):
-        for n in (1, 3):
-            for x, y in ((0.0, 0.5), (2.0, -1.0)):
-                mehler_route = tail_block(n, c, x, y)
-                direct_route = float(_tail_sum_direct(n, c, x, y))
-                assert mehler_route == pytest.approx(direct_route, abs=1e-12)
-
-
-def test_kernel_entry_invalid_block():
+def test_kernel_block_invalid_block():
     p = KernelParams(1, 0.5, 0.0, 0.0)
     with pytest.raises(ValueError):
-        kernel_entry(0, 1, 0.0, 0.0, p)
+        entry(0, 1, 0.0, 0.0, p)
     with pytest.raises(ValueError):
-        kernel_entry(1, 3, 0.0, 0.0, p)
+        entry(1, 3, 0.0, 0.0, p)
     with pytest.raises(ValueError):
         kernel_block_dx(3, 1, 0.0, 0.0, p)
 
@@ -147,5 +139,5 @@ def test_kernel_dx_matches_fd(blocks, c):
     p = KernelParams(2, c, 0.0, 0.0)
     h = 1e-6
     for x, y in ((0.3, 1.1), (-1.2, 2.5)):
-        fd = (kernel_entry(i, j, x + h, y, p) - kernel_entry(i, j, x - h, y, p)) / (2 * h)
+        fd = (entry(i, j, x + h, y, p) - entry(i, j, x - h, y, p)) / (2 * h)
         assert float(kernel_block_dx(i, j, x, y, p)) == pytest.approx(fd, abs=5e-9)

@@ -320,7 +320,7 @@ def test_size_recursion_kernel_relations():
     # K_{n+1} e_L - e_L K_n = e_L Theta phi_n(x) phi_n(y)  and the e_U twin
     from coupled_gue.fredholm import THETA
     from coupled_gue.hermite import phi_matrix
-    from coupled_gue.kernel import kernel_entry
+    from coupled_gue.kernel import kernel_block
 
     n, c = 2, 0.5
     e_l, e_u = np.diag([1.0, c]), np.diag([c, 1.0])
@@ -328,7 +328,7 @@ def test_size_recursion_kernel_relations():
 
     def kmat(nn, x, y):
         p = KernelParams(nn, c, 0.0, 0.0)
-        return np.array([[kernel_entry(i, j, x, y, p) for j in (1, 2)]
+        return np.array([[float(kernel_block(i, j, x, y, p)) for j in (1, 2)]
                          for i in (1, 2)])
 
     for x, y in ((0.4, 1.3), (-1.0, 2.2)):
