@@ -7,6 +7,12 @@
 Reports are JSON, scans CSV by default; every emitted number carries its
 parameter row.  `verify` exits 0 iff every non-skipped check passes, so it
 can gate CI.
+
+Each command accepts only the flags it reads (COMMAND_FLAGS); any other flag
+is a usage error (exit 2).  Every default lives in RunConfig, and `verify`
+echoes the whole config.  The FD steps --fd-h and --fd-hc apply as given to
+the default equations; the fifth-order ids take 2nd-order stencils at 4x
+both steps.
 """
 
 from __future__ import annotations
@@ -22,14 +28,9 @@ from dataclasses import dataclass, asdict, field
 from .kernel import KernelParams
 from .fredholm import solve, endpoint_data
 from .observables import build_quartet, build_derived, SCALAR_FIELDS
-from .residuals import (
-    DEFAULT_STENCIL,
-    HIGHER_ORDER_IDS,
-    PointCache,
-    Stencil,
-    evaluate,
-)
+from .residuals import DEFAULT_STENCIL, PointCache, Stencil, evaluate
 from .montecarlo import estimate_joint
+from .quadrature import DEFAULT_M
 
 __all__ = ["RunConfig", "main", "cmd_prob", "cmd_scan", "cmd_verify"]
 
@@ -41,9 +42,9 @@ class RunConfig:
     c: list = field(default_factory=lambda: [0.5])
     xi: list = field(default_factory=lambda: [0.0, 0.3])
     grid: str | None = None
-    quad_m: int = 64
-    fd_h: float = 5e-3
-    fd_hc: float = 1e-3
+    quad_m: int = DEFAULT_M
+    fd_h: float = DEFAULT_STENCIL.h_xi
+    fd_hc: float = DEFAULT_STENCIL.h_c
     tol: float | None = None
     equations: list | None = None
     mc: bool = False
@@ -141,18 +142,12 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    stencil = Stencil(h_xi=cfg.fd_h, h_c=cfg.fd_hc, order=DEFAULT_STENCIL.order)
-    ids = None
-    include_higher = False
-    if cfg.equations:
-        ids = cfg.equations
-        include_higher = any(i in HIGHER_ORDER_IDS for i in ids)
+    stencil = Stencil(h_xi=cfg.fd_h, h_c=cfg.fd_hc)
     reports = []
     for c in cfg.c:
         cache = PointCache(cfg.n, cfg.quad_m)
         center = (cfg.xi[0], cfg.xi[1], c)
-        for rep in evaluate(cache, center, stencil, ids=ids,
-                            include_higher=include_higher):
+        for rep in evaluate(cache, center, stencil, ids=cfg.equations or None):
             if cfg.tol is not None and rep.status == "ok":
                 rep.tolerance = cfg.tol
                 rep.passed = rep.relative <= cfg.tol
@@ -184,6 +179,33 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
+# flag -> add_argument keywords; no defaults here, they live in RunConfig
+_FLAGS = {
+    "--n": dict(type=int),
+    "--c": dict(type=float, nargs="+"),
+    "--xi": dict(type=float, nargs=2, metavar=("XI1", "XI2")),
+    "--grid": dict(type=str, help="xi grid 'a:b:steps'"),
+    "--quad-m": dict(type=int),
+    "--fd-h": dict(type=float),
+    "--fd-hc": dict(type=float),
+    "--tol": dict(type=float),
+    "--equations": dict(type=lambda s: s.split(",") if s else None,
+                        help="comma-separated equation ids"),
+    "--mc": dict(action="store_true"),
+    "--samples": dict(type=int),
+    "--seed": dict(type=int),
+    "--out": dict(type=str),
+    "--format": dict(dest="fmt", choices=("json", "csv")),
+}
+_PROB_FLAGS = ("--n", "--c", "--xi", "--quad-m", "--out", "--format")
+COMMAND_FLAGS = {
+    "prob": _PROB_FLAGS,
+    "scan": _PROB_FLAGS + ("--grid",),
+    "verify": ("--n", "--c", "--xi", "--quad-m", "--out", "--fd-h", "--fd-hc",
+               "--tol", "--equations", "--mc", "--samples", "--seed"),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args keeps no state in it."""
@@ -193,49 +215,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and verification of their PDE systems.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("prob", "scan", "verify"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--n", type=int, default=2)
-        sp.add_argument("--c", type=float, nargs="+", default=[0.5])
-        sp.add_argument("--xi", type=float, nargs=2, default=[0.0, 0.3],
-                        metavar=("XI1", "XI2"))
-        sp.add_argument("--grid", type=str, default=None,
-                        help="xi grid 'a:b:steps' (scan)")
-        sp.add_argument("--quad-m", type=int, default=64)
-        sp.add_argument("--fd-h", type=float, default=5e-3)
-        sp.add_argument("--fd-hc", type=float, default=1e-3)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--equations", type=str, default=None,
-                        help="comma-separated equation ids (verify)")
-        sp.add_argument("--mc", action="store_true")
-        sp.add_argument("--samples", type=int, default=200_000)
-        sp.add_argument("--seed", type=int, default=12345)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                        default=None)
+    for name, flags in COMMAND_FLAGS.items():
+        # a flag not given stays out of the namespace, so RunConfig supplies it
+        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+    sub.choices["scan"].set_defaults(fmt="csv")
     return ap
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fmt = args.fmt or ("csv" if args.command == "scan" else "json")
-    equations = args.equations.split(",") if args.equations else None
-    return RunConfig(
-        command=args.command, n=args.n, c=list(args.c), xi=list(args.xi),
-        grid=args.grid, quad_m=args.quad_m, fd_h=args.fd_h, fd_hc=args.fd_hc,
-        tol=args.tol, equations=equations, mc=args.mc, samples=args.samples,
-        seed=args.seed, out=args.out, fmt=fmt,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
-    cfg = _config_from_args(args)
-    if cfg.command == "prob":
-        return cmd_prob(cfg)
-    if cfg.command == "scan":
-        return cmd_scan(cfg)
-    return cmd_verify(cfg)
+    cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
+    run = {"prob": cmd_prob, "scan": cmd_scan, "verify": cmd_verify}[cfg.command]
+    return run(cfg)
 
 
 if __name__ == "__main__":

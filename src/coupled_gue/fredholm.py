@@ -43,7 +43,7 @@ import scipy.linalg as sla
 
 from .hermite import dphi_from_phi, phi_matrix
 from .kernel import KernelParams, block_dx_from_rows, block_from_rows, kernel_k_max
-from .quadrature import ray_grid
+from .quadrature import DEFAULT_M, ray_grid
 
 __all__ = [
     "FredholmError",
@@ -60,7 +60,7 @@ I2 = np.eye(2)
 
 
 class FredholmError(RuntimeError):
-    """Numerical failure of the determinant computation (sign/singularity)."""
+    """Numerical failure of the determinant computation (sign, singularity, ln P > 0)."""
 
     def __init__(self, msg: str, cond: float = math.nan):
         super().__init__(msg)
@@ -79,7 +79,7 @@ class FredholmSolution:
     sqrt_w: np.ndarray       # (2m,) square roots of the weights, S = diag(sqrt_w)
     lu: np.ndarray           # (2m, 2m) LU factors of I - kmat, kmat = S K S
     piv: np.ndarray          # (2m,) pivot indices of lu
-    log_prob: float          # ln det(I - kmat); solve() raises unless det > 0
+    log_prob: float          # ln det(I - kmat); solve() raises unless 0 < det <= 1
     cond: float              # 1-norm condition estimate of I - kmat
 
     @property
@@ -127,7 +127,7 @@ def _assemble(p: KernelParams, nodes: np.ndarray, blocks: np.ndarray) -> np.ndar
     return kfull
 
 
-def solve(p: KernelParams, m: int = 64) -> FredholmSolution:
+def solve(p: KernelParams, m: int = DEFAULT_M) -> FredholmSolution:
     """Solve the Nystrom system at parameter point p with m nodes per ray."""
     if m < 8:
         raise ValueError(f"m must be >= 8, got {m}")
@@ -158,6 +158,11 @@ def solve(p: KernelParams, m: int = 64) -> FredholmSolution:
             f"det(I - K) has non-positive sign (cond ~ {cond:.3e})", cond=cond
         )
     log_prob = float(np.sum(np.log(np.abs(diag))))
+    if log_prob > 0.0:
+        raise FredholmError(
+            f"ln det(I - K) = {log_prob:.6g} > 0, a probability above 1 "
+            f"(cond ~ {cond:.3e})", cond=cond
+        )
 
     return FredholmSolution(
         params=p,

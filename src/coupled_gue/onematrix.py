@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .hermite import phi_matrix
-from .quadrature import ray_grid
+from .quadrature import DEFAULT_M, ray_grid
 
 __all__ = ["OneMatrixData", "solve_one_matrix", "painleve_iv_residual"]
 
@@ -45,7 +45,7 @@ class OneMatrixData:
         return math.exp(self.log_prob)
 
 
-def solve_one_matrix(n: int, xi: float, m: int = 64) -> OneMatrixData:
+def solve_one_matrix(n: int, xi: float, m: int = DEFAULT_M) -> OneMatrixData:
     """Scalar Nystrom solve of det(I - K_n) on (xi, inf)."""
     grid = ray_grid(xi, n, m)
     z, wts = grid.nodes, grid.weights
@@ -84,7 +84,7 @@ def solve_one_matrix(n: int, xi: float, m: int = 64) -> OneMatrixData:
     )
 
 
-def painleve_iv_residual(n: int, xi: float, m: int = 64) -> tuple[float, float]:
+def painleve_iv_residual(n: int, xi: float, m: int = DEFAULT_M) -> tuple[float, float]:
     """Painleve IV combination for one-matrix GUE: (residual, scale).
 
     All derivatives come from the scalar first-order system:

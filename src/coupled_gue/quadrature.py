@@ -9,7 +9,8 @@ m nodes must resolve: with + 8 the 32-node rule is pre-asymptotic at deep-tail
 points such as (n=3, xi=(-1, 12)).
 
 The m-point rule on [-1, 1] is built once per m and cached; its arrays are
-read-only, so every caller shares them safely.
+read-only, so every caller shares them safely.  DEFAULT_M is the node count
+per ray that every solve uses unless told otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureGrid", "gauss_legendre", "ray_grid"]
+__all__ = ["DEFAULT_M", "QuadratureGrid", "gauss_legendre", "ray_grid"]
+
+DEFAULT_M = 64
 
 
 @dataclass

@@ -5,9 +5,10 @@ point.  Quantities up to second derivatives of ln tau come exact from the
 closed first-order system (see observables); only the highest derivative of
 each equation is taken by finite differences of those exact fields:
 4th-order central stencils in the endpoint directions, 2nd-order in the
-coupling c.  Reports carry the residual, the magnitude scale of the
-constituent terms, and the relative residual, which is what tolerances
-apply to.
+coupling c.  The fifth-order equations (HIGHER_ORDER_IDS) nest more
+differences, so they take 2nd-order stencils at 4x both steps.  Reports
+carry the residual, the magnitude scale of the constituent terms, and the
+relative residual, which is what tolerances apply to.
 
 Equations whose natural scale collapses at a center (empty-constraint
 limits xi -> inf, or the X_3 = 0 locus xi1 = xi2) are downgraded to
@@ -30,6 +31,7 @@ from .observables import (
     final_composites,
 )
 from .onematrix import painleve_iv_residual
+from .quadrature import DEFAULT_M
 
 __all__ = [
     "Stencil",
@@ -39,14 +41,6 @@ __all__ = [
     "HIGHER_ORDER_IDS",
     "evaluate",
     "richardson",
-    "residual_boundary_toda",
-    "residual_theorem1",
-    "residual_avm",
-    "residual_f4t",
-    "residual_corollary_main",
-    "residual_ccom",
-    "residual_final_four",
-    "residual_appendix",
     "painleve_boundary_check",
 ]
 
@@ -65,29 +59,24 @@ _DELTA_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class Stencil:
-    """FD steps around a center; order applies to the xi directions."""
+    """FD steps around a center: h_xi along the endpoints, h_c along c."""
 
     h_xi: float = 5e-3
     h_c: float = 1e-3
-    order: int = 2
 
     def __post_init__(self):
         if self.h_xi <= 0 or self.h_c <= 0:
             raise ValueError("stencil steps must be positive")
-        if self.order not in (2, 4):
-            raise ValueError(f"order must be 2 or 4, got {self.order}")
 
     def check_c(self, c: float) -> None:
         if not (0.0 < c - 2 * self.h_c and c + 2 * self.h_c < 1.0):
             raise ValueError(f"c={c} too close to (0,1) boundary for h_c={self.h_c}")
 
     def scaled(self, f: float) -> "Stencil":
-        return Stencil(h_xi=f * self.h_xi, h_c=f * self.h_c, order=self.order)
+        return Stencil(h_xi=f * self.h_xi, h_c=f * self.h_c)
 
 
-DEFAULT_STENCIL = Stencil(h_xi=5e-3, h_c=1e-3, order=4)
-# Larger steps / lower order for the 5th-order Toda-side equations.
-HIGHER_STENCIL = Stencil(h_xi=2e-2, h_c=4e-3, order=2)
+DEFAULT_STENCIL = Stencil()
 
 
 @dataclass
@@ -141,7 +130,7 @@ class _Point:
 class PointCache:
     """Memoizes solves per (n, c, xi1, xi2, m); shared by all residuals."""
 
-    def __init__(self, n: int, m: int = 64):
+    def __init__(self, n: int, m: int = DEFAULT_M):
         self.n = n
         self.m = m
         self._points: dict = {}
@@ -169,7 +158,7 @@ class PointCache:
         return lambda x1, x2, c: getattr(self.point(x1, x2, c).derived, name)
 
 
-def _d_dir(f, x1, x2, c, direction, h, order):
+def _d_dir(f, x1, x2, c, direction, h, order=4):
     """Directional derivative along `direction` in the xi-plane."""
     offs, wts = _D1[order]
     dx1, dx2 = direction
@@ -289,8 +278,8 @@ def _eval_theorem1(cache, center, st, tol=1e-4):
         dc = _d_c(cache.f(which), x1, x2, c, st.h_c)
         a0 = _a0(x1, x2, c, d1, d2, dc)
         at0 = _a0(x1, x2, c, d1, d2, dc, tilde=True)
-        a2v = _d_dir(a_of(which, 1.0), x1, x2, c, (1.0, c), st.h_xi, st.order)
-        at2v = _d_dir(a_of(which, -1.0), x1, x2, c, (c, 1.0), st.h_xi, st.order)
+        a2v = _d_dir(a_of(which, 1.0), x1, x2, c, (1.0, c), st.h_xi)
+        at2v = _d_dir(a_of(which, -1.0), x1, x2, c, (c, 1.0), st.h_xi)
         res_t = a2v + 2.0 * sgn * a0 + 2.0 * a2t * val
         res_s = at2v + 2.0 * sgn * at0 + 2.0 * at2t * val
         reports.append(
@@ -301,11 +290,10 @@ def _eval_theorem1(cache, center, st, tol=1e-4):
             _mk_report(ids[1], cache, center, res_s,
                        [at2v, 2.0 * at0, 2.0 * at2t * val], tol)
         )
-    # keep declared order: 00, +t, -t, +s, -s
-    return [reports[0], reports[1], reports[3], reports[2], reports[4]]
+    return reports
 
 
-def _a0t_field(cache, tilde=False, hc=1e-3):
+def _a0t_field(cache, hc, tilde=False):
     """A_0 T (or At_0 T) as a field; the c-derivative is 2nd-order FD."""
     t_field = cache.f("T")
 
@@ -318,12 +306,12 @@ def _a0t_field(cache, tilde=False, hc=1e-3):
     return fval
 
 
-def _g_field(cache, h, order, hc, tilde=False):
+def _g_field(cache, st, tilde=False, order=4):
     """G = A T - At A_0 T / (2c) as a field; tilde: G~ = At T - A At_0 T / (2c).
 
     A = D_1 + c D_2 = (1+c)/2 (D_+ + sigma D_-), At = c D_1 + D_2 (1 <-> 2).
     """
-    a0t = _a0t_field(cache, tilde, hc)
+    a0t = _a0t_field(cache, st.h_c, tilde)
     sign = -1.0 if tilde else 1.0
 
     def fval(a, b, cc):
@@ -331,7 +319,7 @@ def _g_field(cache, h, order, hc, tilde=False):
         s = math.sqrt(d.sigma2)
         a_t = (1.0 + cc) / 2.0 * (d.r_t + sign * s * d.r_3)
         dirv = (1.0, cc) if tilde else (cc, 1.0)
-        return a_t - _d_dir(a0t, a, b, cc, dirv, h, order) / (2.0 * cc)
+        return a_t - _d_dir(a0t, a, b, cc, dirv, st.h_xi, order) / (2.0 * cc)
 
     return fval
 
@@ -350,19 +338,15 @@ def _eval_avm(cache, center, st, tol=1e-4):
     x1, x2, c = center
     st.check_c(c)
     ff = _f_field(cache)
-    g_f = _g_field(cache, st.h_xi, st.order, st.h_c)
-    gt_f = _g_field(cache, st.h_xi, st.order, st.h_c, tilde=True)
 
-    def g_over_f(a, b, cc):
-        return g_f(a, b, cc) / ff(a, b, cc)
-
-    def gt_over_f(a, b, cc):
-        return gt_f(a, b, cc) / ff(a, b, cc)
+    def g_over_f(tilde):
+        g_f = _g_field(cache, st, tilde)
+        return lambda a, b, cc: g_f(a, b, cc) / ff(a, b, cc)
 
     f0 = ff(x1, x2, c)
     status = "degenerate" if abs(f0) < _FHAT_GUARD else "ok"
-    lhs = _d_dir(gt_over_f, x1, x2, c, (1.0, c), st.h_xi, st.order)
-    rhs = _d_dir(g_over_f, x1, x2, c, (c, 1.0), st.h_xi, st.order)
+    lhs = _d_dir(g_over_f(True), x1, x2, c, (1.0, c), st.h_xi)
+    rhs = _d_dir(g_over_f(False), x1, x2, c, (c, 1.0), st.h_xi)
     return [
         _mk_report("avm", cache, center, lhs - rhs, [lhs, rhs], tol, status,
                    extras={"lhs": lhs, "rhs": rhs, "F": f0})
@@ -399,13 +383,13 @@ def _eval_f4t(cache, center, st, tol=1e-4):
     f0 = ff(x1, x2, c)
     gp0 = gp(x1, x2, c)
     gm0 = gm(x1, x2, c)
-    dpf = _d_dir(ff, x1, x2, c, (1, 1), st.h_xi, st.order)
-    dmf = _d_dir(ff, x1, x2, c, (1, -1), st.h_xi, st.order)
+    dpf = _d_dir(ff, x1, x2, c, (1, 1), st.h_xi)
+    dmf = _d_dir(ff, x1, x2, c, (1, -1), st.h_xi)
 
     def dmf_field(a, b, cc):
-        return _d_dir(ff, a, b, cc, (1, -1), st.h_xi, st.order)
+        return _d_dir(ff, a, b, cc, (1, -1), st.h_xi)
 
-    dpdmf = _d_dir(dmf_field, x1, x2, c, (1, 1), st.h_xi, st.order)
+    dpdmf = _d_dir(dmf_field, x1, x2, c, (1, 1), st.h_xi)
     xp_, xm_ = x1 + x2, x1 - x2
     terms = [
         2.0 * f0 * dpdmf,
@@ -416,10 +400,9 @@ def _eval_f4t(cache, center, st, tol=1e-4):
     ]
     res = terms[0] - terms[1] + terms[2] + terms[3] + terms[4]
     # cross-formalism check: 2 Fhat * (Tt3) - (x), rescaled by 64, matches
-    phi3_fd = _d_dir(cache.f("X_t"), x1, x2, c, (1, -1), st.h_xi, st.order)
     dpdmxt = _d_dir(
-        lambda a, b, cc: _d_dir(cache.f("X_t"), a, b, cc, (1, -1), st.h_xi, st.order),
-        x1, x2, c, (1, 1), st.h_xi, st.order,
+        lambda a, b, cc: _d_dir(cache.f("X_t"), a, b, cc, (1, -1), st.h_xi),
+        x1, x2, c, (1, 1), st.h_xi,
     )
     tt3_expr = dpdmxt - xm_ * d0.G_t - xp_ * d0.G_3 - d0.X_3 * (3.0 * d0.X_t - 8.0 * n)
     x_expr = d0.Phi_t * d0.Phi_3 - 2.0 * d0.X_t * d0.X_3 * d0.F_hat - d0.G_t * d0.G_3
@@ -440,11 +423,26 @@ def _fd_thirds(cache, center, st):
     xt_f = cache.f("X_t")
     a2_f = cache.f("A2")
     return {
-        "phi_t": _d_dir(xt_f, x1, x2, c, (1, 1), st.h_xi, st.order),
-        "phi_3": _d_dir(xt_f, x1, x2, c, (1, -1), st.h_xi, st.order),
-        "dp_a2": _d_dir(a2_f, x1, x2, c, (1, 1), st.h_xi, st.order),
-        "dm_a2": _d_dir(a2_f, x1, x2, c, (1, -1), st.h_xi, st.order),
+        "phi_t": _d_dir(xt_f, x1, x2, c, (1, 1), st.h_xi),
+        "phi_3": _d_dir(xt_f, x1, x2, c, (1, -1), st.h_xi),
+        "dp_a2": _d_dir(a2_f, x1, x2, c, (1, 1), st.h_xi),
+        "dm_a2": _d_dir(a2_f, x1, x2, c, (1, -1), st.h_xi),
     }
+
+
+def _p_third(d, fd):
+    """(P_t, P_3) of the third-order system on FD senior derivatives."""
+    return tuple(fd[phi] ** 2 - d.F_hat * (2.0 * d.X_3**2 + d.J) - g**2
+                 for phi, g in (("phi_t", d.G_t), ("phi_3", d.G_3)))
+
+
+def _composites(d, fd):
+    """final_composites on the exact fields of d and FD senior derivatives."""
+    return final_composites(
+        phi_t=fd["phi_t"], phi_3=fd["phi_3"], dp_a2=fd["dp_a2"], dm_a2=fd["dm_a2"],
+        x_t=d.X_t, x_3=d.X_3, a2=d.A2, f_hat=d.F_hat, j=d.J,
+        h_t=d.H_t, h_3=d.H_3, sigma2=d.sigma2,
+    )
 
 
 def _eval_corollary(cache, center, st, tol=1e-4):
@@ -462,8 +460,7 @@ def _eval_corollary(cache, center, st, tol=1e-4):
     res_ax = t_ax[0] - t_ax[1] - t_ax[2]
     reports.append(_mk_report("cor_Ax", cache, center, res_ax, t_ax, tol, status))
 
-    p_t = fd["phi_t"] ** 2 - d.F_hat * (2.0 * d.X_3**2 + d.J) - d.G_t**2
-    p_3 = fd["phi_3"] ** 2 - d.F_hat * (2.0 * d.X_3**2 + d.J) - d.G_3**2
+    p_t, p_3 = _p_third(d, fd)
     d_t = 4.0 * sig2 * fd["dp_a2"] ** 2 + 2.0 * sig2 * d.A2 * d.J - d.A_plus**2
     d_3 = 4.0 * sig2 * fd["dm_a2"] ** 2 + 2.0 * d.A2 * d.J - d.A_minus**2
     e1 = 2.0 * sig2 * d.A2 * p_t
@@ -505,11 +502,7 @@ def _eval_final_four(cache, center, st, tol=1e-4):
     d = cache.point(x1, x2, c).derived
     fd = _fd_thirds(cache, center, st)
     sig2 = d.sigma2
-    comp = final_composites(
-        phi_t=fd["phi_t"], phi_3=fd["phi_3"], dp_a2=fd["dp_a2"], dm_a2=fd["dm_a2"],
-        x_t=d.X_t, x_3=d.X_3, a2=d.A2, f_hat=d.F_hat, j=d.J,
-        h_t=d.H_t, h_3=d.H_3, sigma2=sig2,
-    )
+    comp = _composites(d, fd)
     delta = comp["Delta"]
     status = _degenerate_guard("fin", d, x3=True, a2f=True, delta=delta)
     l1 = d.H_t * comp["P_plus"] - 2.0 * comp["F_3"] * d.H_3 * comp["P_x"]
@@ -555,42 +548,42 @@ def _eval_appendix(cache, center, st, tol=1e-4):
     reports = []
     status3 = _degenerate_guard("app", d, x3=True)
 
-    dpdmx3 = _d_dir(cache.f("DmX3"), x1, x2, c, (1, 1), st.h_xi, st.order)
+    dpdmx3 = _d_dir(cache.f("DmX3"), x1, x2, c, (1, 1), st.h_xi)
     t = [d.X_3 * dpdmx3, d.DpX3 * d.DmX3, d.R_t * d.R_3,
          (d.X_3 + xp_ * xm_) * d.X_3**2]
     reports.append(_mk_report("app_S", cache, center, t[0] - t[1] + t[2] - t[3],
                               t, tol, status3))
 
-    dp_phi3 = _d_dir(cache.f("Phi_3"), x1, x2, c, (1, 1), st.h_xi, st.order)
+    dp_phi3 = _d_dir(cache.f("Phi_3"), x1, x2, c, (1, 1), st.h_xi)
     t = [dp_phi3, xm_ * d.G_t, xp_ * d.G_3, d.X_3 * (3.0 * d.X_t - 8.0 * n)]
     reports.append(_mk_report("app_Tt3", cache, center, t[0] - t[1] - t[2] - t[3],
                               t, tol))
 
-    dp_phit = _d_dir(cache.f("Phi_t"), x1, x2, c, (1, 1), st.h_xi, st.order)
+    dp_phit = _d_dir(cache.f("Phi_t"), x1, x2, c, (1, 1), st.h_xi)
     t = [2.0 * d.F_hat * d.X_3 * dp_phit,
          2.0 * d.F_hat * (d.DpX3 * d.Phi_t - d.R_t * d.G_3 + xp_ * d.X_3 * d.G_t),
          d.X_3 * (d.Phi_t**2 - d.G_t**2)]
     reports.append(_mk_report("app_pTt", cache, center, t[0] - t[1] - t[2],
                               t, tol, status3))
 
-    dm_phi3 = _d_dir(cache.f("Phi_3"), x1, x2, c, (1, -1), st.h_xi, st.order)
+    dm_phi3 = _d_dir(cache.f("Phi_3"), x1, x2, c, (1, -1), st.h_xi)
     t = [2.0 * d.F_hat * d.X_3 * dm_phi3,
          2.0 * d.F_hat * (d.DmX3 * d.Phi_3 - d.R_3 * d.G_t + xm_ * d.X_3 * d.G_3),
          d.X_3 * (d.Phi_3**2 - d.G_3**2)]
     reports.append(_mk_report("app_mT3", cache, center, t[0] - t[1] - t[2],
                               t, tol, status3))
 
-    dpdm_a2 = _d_dir(cache.f("D_minus"), x1, x2, c, (1, 1), st.h_xi, st.order)
+    dpdm_a2 = _d_dir(cache.f("D_minus"), x1, x2, c, (1, 1), st.h_xi)
     t = [-2.0 * sig2 * dpdm_a2,
          -(6.0 * sig2 * d.X_3 * d.A2 - xm_ * d.A_plus - sig2 * xp_ * d.A_minus)]
     reports.append(_mk_report("app_DDA", cache, center, t[0] - t[1], t, tol))
 
-    dp_gt = _d_dir(cache.f("G_t"), x1, x2, c, (1, 1), st.h_xi, st.order)
+    dp_gt = _d_dir(cache.f("G_t"), x1, x2, c, (1, 1), st.h_xi)
     t = [d.X_3 * dp_gt, d.DpX3 * d.G_t, d.R_t * d.Phi_3, xp_ * d.X_3 * d.Phi_t]
     reports.append(_mk_report("app_pGt", cache, center, t[0] - t[1] + t[2] - t[3],
                               t, tol, status3))
 
-    dm_g3 = _d_dir(cache.f("G_3"), x1, x2, c, (1, -1), st.h_xi, st.order)
+    dm_g3 = _d_dir(cache.f("G_3"), x1, x2, c, (1, -1), st.h_xi)
     t = [d.X_3 * dm_g3, d.DmX3 * d.G_3, d.R_3 * d.Phi_t, xm_ * d.X_3 * d.Phi_3]
     reports.append(_mk_report("app_mG3", cache, center, t[0] - t[1] + t[2] - t[3],
                               t, tol, status3))
@@ -612,105 +605,72 @@ def _eval_appendix(cache, center, st, tol=1e-4):
 
 
 # --------------------------------------------------------------------------
-# Higher-order Toda-side equations (5th order in T): larger 2nd-order stencil
+# Higher-order Toda-side equations (5th order in T): 2nd-order stencil, 4x steps
 # --------------------------------------------------------------------------
 
 def _eval_higher(cache, center, st, tol=1e-2):
     x1, x2, c = center
-    if st.order != 2:
-        st = HIGHER_STENCIL
+    st = st.scaled(4.0)
     st.check_c(c)
-    n = cache.n
     h, hc = st.h_xi, st.h_c
     ff = _f_field(cache)
-    a0t = _a0t_field(cache, tilde=False, hc=hc)
-    a0t_t = _a0t_field(cache, tilde=True, hc=hc)
+    u_f, w_f = cache.f("U"), cache.f("W")
 
-    def a2t_f(a, b, cc):
-        return _a2t_exact(cache.point(a, b, cc).derived, cc)
+    def a_dir(cc, tilde):
+        """Direction of A = D_1 + c D_2, or of At = c D_1 + D_2."""
+        return (cc, 1.0) if tilde else (1.0, cc)
 
-    def at2t_f(a, b, cc):
-        return _a2t_exact(cache.point(a, b, cc).derived, cc, tilde=True)
-
-    g_f = _g_field(cache, h, 2, hc)
-    gt_f = _g_field(cache, h, 2, hc, tilde=True)
-
-    def a0_apply(f, a, b, cc, tilde=False):
+    def a0_apply(f, a, b, cc, tilde):
         d1v = _d_dir(f, a, b, cc, (1, 0), h, 2)
         d2v = _d_dir(f, a, b, cc, (0, 1), h, 2)
         return _a0(a, b, cc, d1v, d2v, _d_c(f, a, b, cc, hc), tilde)
 
-    reports = []
+    def t_and_ag0(tilde, t_id, ag0_id):
+        """app_T1 and app_AG0 along A; with tilde, app_T2 and app_tAG0 along At."""
+        a0t = _a0t_field(cache, hc, tilde)
+        g_f = _g_field(cache, st, tilde, order=2)
 
-    def t1_like(eq_id, adir, a0_field, a2t_field, g_field, tilde):
-        def inner_lhs(a, b, cc):
-            dirv = (1.0, cc) if adir == "A" else (cc, 1.0)
-            a2f_ = _d_dir(
-                lambda aa, bb, ccc: _d_dir(ff, aa, bb, ccc,
-                                           (1.0, ccc) if adir == "A" else (ccc, 1.0),
-                                           h, 2),
-                a, b, cc, dirv, h, 2)
-            af = _d_dir(ff, a, b, cc, dirv, h, 2)
-            gv = g_field(a, b, cc)
+        def a2t(a, b, cc):
+            return _a2t_exact(cache.point(a, b, cc).derived, cc, tilde)
+
+        def af(a, b, cc):
+            return _d_dir(ff, a, b, cc, a_dir(cc, tilde), h, 2)
+
+        def g0(a, b, cc):
+            """G0 = W A0 U - U A0 W, or its dual with At_0."""
+            pt = cache.point(a, b, cc)
+            return (pt.uw["W"] * a0_apply(u_f, a, b, cc, tilde)
+                    - pt.uw["U"] * a0_apply(w_f, a, b, cc, tilde))
+
+        def t_inner(a, b, cc):
+            a2f_ = _d_dir(af, a, b, cc, a_dir(cc, tilde), h, 2)
+            afv = af(a, b, cc)
+            gv = g_f(a, b, cc)
             fv = ff(a, b, cc)
-            return (-a2f_ - 4.0 * a0_field(a, b, cc)
-                    - 4.0 * a2t_field(a, b, cc) * fv + (af * af - gv * gv) / fv)
+            return (-a2f_ - 4.0 * a0t(a, b, cc)
+                    - 4.0 * a2t(a, b, cc) * fv + (afv * afv - gv * gv) / fv)
 
-        def inner_rhs(a, b, cc):
-            a2tv = a2t_field(a, b, cc)
+        def ag0_inner(a, b, cc):
+            afv = af(a, b, cc)
+            gv = g_f(a, b, cc)
+            return g0(a, b, cc) + (afv * afv - gv * gv) / (4.0 * ff(a, b, cc)) \
+                - 2.0 * a0t(a, b, cc)
+
+        def dual_inner(a, b, cc):
+            a2tv = a2t(a, b, cc)
             return (0.5 / cc) * a2tv * a2tv + (1.0 / cc) * (
-                a0_apply(a0_field, a, b, cc, tilde) + 2.0 * a0_field(a, b, cc)
+                a0_apply(a0t, a, b, cc, tilde) + 2.0 * a0t(a, b, cc)
             )
 
-        dir_main = (1.0, c) if adir == "A" else (c, 1.0)
-        dir_dual = (c, 1.0) if adir == "A" else (1.0, c)
-        lhs = _d_dir(inner_lhs, x1, x2, c, dir_main, h, 2)
-        rhs = -_d_dir(inner_rhs, x1, x2, c, dir_dual, h, 2)
-        reports.append(_mk_report(eq_id, cache, center, lhs - rhs, [lhs, rhs], tol))
+        rhs = -_d_dir(dual_inner, x1, x2, c, a_dir(c, not tilde), h, 2)
+        lhs = _d_dir(t_inner, x1, x2, c, a_dir(c, tilde), h, 2)
+        yield _mk_report(t_id, cache, center, lhs - rhs, [lhs, rhs], tol)
+        # the AG0 right side is half the T one; scaling by 0.5 is exact in floating point
+        lhs = _d_dir(ag0_inner, x1, x2, c, a_dir(c, tilde), h, 2)
+        rhs = 0.5 * rhs
+        yield _mk_report(ag0_id, cache, center, lhs - rhs, [lhs, rhs], tol)
 
-    t1_like("app_T1", "A", a0t, a2t_f, g_f, False)
-    t1_like("app_T2", "At", a0t_t, at2t_f, gt_f, True)
-
-    # AG0 / tAG0 need G0 = W A0 U - U A0 W (and the dual)
-    u_f, w_f = cache.f("U"), cache.f("W")
-
-    def g0_f(a, b, cc, tilde=False):
-        pt = cache.point(a, b, cc)
-        return (pt.uw["W"] * a0_apply(u_f, a, b, cc, tilde)
-                - pt.uw["U"] * a0_apply(w_f, a, b, cc, tilde))
-
-    def ag0_inner(a, b, cc):
-        af = _d_dir(ff, a, b, cc, (1.0, cc), h, 2)
-        gv = g_f(a, b, cc)
-        return g0_f(a, b, cc) + (af * af - gv * gv) / (4.0 * ff(a, b, cc)) \
-            - 2.0 * a0t(a, b, cc)
-
-    def ag0_rhs(a, b, cc):
-        a2tv = _a2t_exact(cache.point(a, b, cc).derived, cc)
-        return (0.25 / cc) * a2tv * a2tv + (0.5 / cc) * (
-            a0_apply(a0t, a, b, cc) + 2.0 * a0t(a, b, cc)
-        )
-
-    lhs = _d_dir(ag0_inner, x1, x2, c, (1.0, c), h, 2)
-    rhs = -_d_dir(ag0_rhs, x1, x2, c, (c, 1.0), h, 2)
-    reports.append(_mk_report("app_AG0", cache, center, lhs - rhs, [lhs, rhs], tol))
-
-    def tag0_inner(a, b, cc):
-        atf = _d_dir(ff, a, b, cc, (cc, 1.0), h, 2)
-        gtv = gt_f(a, b, cc)
-        return g0_f(a, b, cc, True) + (atf * atf - gtv * gtv) / (4.0 * ff(a, b, cc)) \
-            - 2.0 * a0t_t(a, b, cc)
-
-    def tag0_rhs(a, b, cc):
-        at2tv = _a2t_exact(cache.point(a, b, cc).derived, cc, tilde=True)
-        return (0.25 / cc) * at2tv * at2tv + (0.5 / cc) * (
-            a0_apply(a0t_t, a, b, cc, True) + 2.0 * a0t_t(a, b, cc)
-        )
-
-    lhs = _d_dir(tag0_inner, x1, x2, c, (c, 1.0), h, 2)
-    rhs = -_d_dir(tag0_rhs, x1, x2, c, (1.0, c), h, 2)
-    reports.append(_mk_report("app_tAG0", cache, center, lhs - rhs, [lhs, rhs], tol))
-    return reports
+    return [*t_and_ag0(False, "app_T1", "app_AG0"), *t_and_ag0(True, "app_T2", "app_tAG0")]
 
 
 # --------------------------------------------------------------------------
@@ -765,10 +725,6 @@ HIGHER_ORDER_IDS = ["app_T1", "app_T2", "app_AG0", "app_tAG0"]
 EQUATION_IDS = [k for k in _GROUPS if k not in HIGHER_ORDER_IDS]
 
 
-def nominal_order(eq_id: str) -> int:
-    return _GROUPS[eq_id][1]
-
-
 def evaluate(cache, center, stencil=None, ids=None, include_higher=False):
     """Evaluate residual reports for the requested equation ids."""
     st = stencil or DEFAULT_STENCIL
@@ -803,16 +759,16 @@ def richardson(cache, center, eq_id, stencil=None, factors=(8.0, 4.0, 2.0),
     vacuously (status 'floor').
     """
     st = stencil or DEFAULT_STENCIL
-    order = nominal_order(eq_id)
+    order = _GROUPS[eq_id][1]
     rels = []
     for f in factors:
         # scale only the step whose truncation order is being measured:
         # h_c for the 2nd-order (coupling) stencils, h_xi for the 4th-order
         # endpoint stencils.
         if order == 2:
-            sc = Stencil(h_xi=st.h_xi, h_c=f * st.h_c, order=st.order)
+            sc = Stencil(h_xi=st.h_xi, h_c=f * st.h_c)
         elif order == 4:
-            sc = Stencil(h_xi=f * st.h_xi, h_c=st.h_c, order=st.order)
+            sc = Stencil(h_xi=f * st.h_xi, h_c=st.h_c)
         else:
             sc = st
         rep = evaluate(cache, center, sc, ids=[eq_id])[0]
@@ -833,50 +789,7 @@ def richardson(cache, center, eq_id, stencil=None, factors=(8.0, 4.0, 2.0),
             "relatives": rels, "slopes": slopes, "ok": ok}
 
 
-# --------------------------------------------------------------------------
-# Grouped-operation wrappers
-# --------------------------------------------------------------------------
-
-def residual_boundary_toda(cache, center, stencil=None):
-    return evaluate(cache, center, stencil, ids=["toda00"])[0]
-
-
-def residual_theorem1(cache, center, stencil=None):
-    return evaluate(cache, center, stencil,
-                    ids=["thm1_00", "thm1_pt", "thm1_mt", "thm1_ps", "thm1_ms"])
-
-
-def residual_avm(cache, center, stencil=None):
-    return evaluate(cache, center, stencil, ids=["avm"])[0]
-
-
-def residual_f4t(cache, center, stencil=None):
-    return evaluate(cache, center, stencil, ids=["f4t"])[0]
-
-
-def residual_corollary_main(cache, center, stencil=None):
-    return evaluate(cache, center, stencil,
-                    ids=["cor_x", "cor_Ax", "cor_pm1", "cor_pm2", "cor_pm3", "cor_a"])
-
-
-def residual_ccom(cache, center, stencil=None):
-    return evaluate(cache, center, stencil, ids=["ccom_p", "ccom_m"])
-
-
-def residual_final_four(cache, center, stencil=None):
-    return evaluate(cache, center, stencil,
-                    ids=["fin_Axx", "fin_Ap2", "fin_Am2", "fin_aa",
-                         "fin_Px", "fin_Pp", "fin_Pa"])
-
-
-def residual_appendix(cache, center, stencil=None, include_higher=False):
-    ids = [i for i in EQUATION_IDS if i.startswith("app_")]
-    if include_higher:
-        ids += HIGHER_ORDER_IDS
-    return evaluate(cache, center, stencil, ids=ids, include_higher=include_higher)
-
-
-def painleve_boundary_check(n, xi1, c, m=64, xi2=12.0, stencil=None):
+def painleve_boundary_check(n, xi1, c, m=DEFAULT_M, xi2=12.0, stencil=None):
     """One-matrix boundary behavior at xi2 -> +inf.
 
     The coupled composites P_t, P_3, P_x (third-order system) and P_x, the
@@ -891,14 +804,9 @@ def painleve_boundary_check(n, xi1, c, m=64, xi2=12.0, stencil=None):
     fd = _fd_thirds(cache, center, st)
     p1_res, p1_scale = painleve_iv_residual(n, xi1, m)
 
-    p_t = fd["phi_t"] ** 2 - d.F_hat * (2.0 * d.X_3**2 + d.J) - d.G_t**2
-    p_3 = fd["phi_3"] ** 2 - d.F_hat * (2.0 * d.X_3**2 + d.J) - d.G_3**2
+    p_t, p_3 = _p_third(d, fd)
     p_x = fd["phi_t"] * fd["phi_3"] - 2.0 * d.X_t * d.X_3 * d.F_hat - d.G_t * d.G_3
-    comp = final_composites(
-        phi_t=fd["phi_t"], phi_3=fd["phi_3"], dp_a2=fd["dp_a2"], dm_a2=fd["dm_a2"],
-        x_t=d.X_t, x_3=d.X_3, a2=d.A2, f_hat=d.F_hat, j=d.J,
-        h_t=d.H_t, h_3=d.H_3, sigma2=d.sigma2,
-    )
+    comp = _composites(d, fd)
     p_plus_norm = comp["P_plus"] / (comp["F_t"] + comp["F_3"])
     out = {"one_matrix": p1_res / p1_scale, "scale": p1_scale}
     for name, val in (("P_t", p_t), ("P_3", p_3), ("P_x", p_x),

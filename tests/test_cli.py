@@ -5,8 +5,18 @@ import math
 
 import pytest
 
-from coupled_gue.cli import RunConfig, _build_parser, main
+from coupled_gue.cli import COMMAND_FLAGS, RunConfig, _build_parser, main
+from coupled_gue.fredholm import FredholmError
 from coupled_gue.onematrix import solve_one_matrix
+
+# a value each flag accepts, for passing it where it is not read
+FLAG_ARGS = {
+    "--grid": ["0:1:3"], "--fd-h": ["1e-3"], "--fd-hc": ["5e-4"],
+    "--tol": ["1e-6"], "--equations": ["toda00"], "--mc": [],
+    "--samples": ["100"], "--seed": ["1"], "--format": ["json"],
+}
+UNREAD = [(cmd, flag) for cmd in COMMAND_FLAGS for flag in FLAG_ARGS
+          if flag not in COMMAND_FLAGS[cmd]]
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +138,39 @@ def test_usage_error_exit():
     with pytest.raises(SystemExit) as exc:
         main(["prob", "--bogus"])
     assert exc.value.code != 0
+
+
+@pytest.mark.parametrize("command,flag", UNREAD)
+def test_unread_flag_is_a_usage_error(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "1", flag, *FLAG_ARGS[flag]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_unread_flags_counted():
+    # 8 flags prob does not read, 7 for scan, 2 for verify
+    assert len(UNREAD) == 17
+    assert sum(map(len, COMMAND_FLAGS.values())) == 25
+
+
+def test_fd_steps_reach_the_fifth_order_ids(capsys):
+    def residual(*extra):
+        code, out = run_cli(capsys, "verify", "--equations", "app_T1", *extra)
+        assert code == 0
+        return json.loads(out)["reports"][0]["residual"]
+
+    default = residual()
+    assert default == residual("--fd-h", "5e-3", "--fd-hc", "1e-3")
+    finer = residual("--fd-h", "1e-3", "--fd-hc", "5e-4")
+    # 2nd-order truncation: 5x smaller steps, about 10x smaller residual
+    assert abs(finer) < 0.2 * abs(default)
+
+
+def test_prob_above_one_is_a_fredholm_error():
+    # ln det(I - K) = +770 with cond ~ 3e50 at this K_12-cancellation point
+    with pytest.raises(FredholmError, match="> 0"):
+        main(["prob", "--n", "50", "--c", "0.12", "--xi", "0", "0.3"])
 
 
 def test_config_roundtrip():

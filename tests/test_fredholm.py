@@ -9,7 +9,7 @@ from scipy.stats import multivariate_normal
 
 from coupled_gue import KernelParams, solve, resolvent_at
 from coupled_gue.kernel import kernel_block
-from coupled_gue.fredholm import THETA
+from coupled_gue.fredholm import THETA, FredholmError
 from coupled_gue.observables import hatted_vars, r_derivatives
 from coupled_gue.onematrix import solve_one_matrix
 
@@ -82,6 +82,14 @@ def test_solution_invariants(bank):
 def test_solve_input_errors():
     with pytest.raises(ValueError):
         solve(KernelParams(2, 0.5, 0.0, 0.3), m=7)
+
+
+def test_log_prob_above_zero_is_rejected():
+    # K_12 cancellation at n=50, small c: the float64 determinant comes out
+    # positive but far above 1 (ln P = +770, cond ~ 3e50); no probability is
+    with pytest.raises(FredholmError, match="> 0") as exc:
+        solve(KernelParams(50, 0.12, 0.0, 0.3))
+    assert exc.value.cond > 1e40
 
 
 def _nystrom_kernel(sol):

@@ -11,18 +11,14 @@ from coupled_gue.residuals import (
     Stencil,
     evaluate,
     painleve_boundary_check,
-    residual_appendix,
-    residual_avm,
-    residual_boundary_toda,
-    residual_ccom,
-    residual_corollary_main,
-    residual_f4t,
-    residual_final_four,
-    residual_theorem1,
     richardson,
 )
 
 CENTER = (0.0, 0.3, 0.5)
+THM1_IDS = ["thm1_00", "thm1_pt", "thm1_mt", "thm1_ps", "thm1_ms"]
+COR_IDS = ["cor_x", "cor_Ax", "cor_pm1", "cor_pm2", "cor_pm3", "cor_a"]
+FIN_IDS = ["fin_Axx", "fin_Ap2", "fin_Am2", "fin_aa", "fin_Px", "fin_Pp", "fin_Pa"]
+APP_IDS = [i for i in EQUATION_IDS if i.startswith("app_")]
 
 
 @pytest.fixture(scope="module")
@@ -41,14 +37,14 @@ def test_all_default_equations_pass(cache):
 def test_fd_free_residuals_independent_of_stencil(cache):
     for eq in ("toda00", "app_Bp"):
         vals = [
-            evaluate(cache, CENTER, Stencil(h_xi=h, h_c=1e-3, order=4), ids=[eq])[0]
+            evaluate(cache, CENTER, Stencil(h_xi=h, h_c=1e-3), ids=[eq])[0]
             for h in (5e-3, 2e-2)
         ]
         assert vals[0].residual == vals[1].residual
 
 
 def test_boundary_toda_trivial_limit(cache):
-    rep = residual_boundary_toda(cache, (12.0, 12.0, 0.5))
+    rep = evaluate(cache, (12.0, 12.0, 0.5), ids=["toda00"])[0]
     assert rep.relative <= 1e-9
 
 
@@ -56,24 +52,22 @@ def test_boundary_toda_convergence_with_quadrature():
     # residual drops with m until the working-precision floor
     c32 = PointCache(2, 32)
     c64 = PointCache(2, 64)
-    r32 = residual_boundary_toda(c32, CENTER)
-    r64 = residual_boundary_toda(c64, CENTER)
+    r32 = evaluate(c32, CENTER, ids=["toda00"])[0]
+    r64 = evaluate(c64, CENTER, ids=["toda00"])[0]
     assert r64.relative <= max(r32.relative, 1e-13)
     assert r64.relative <= 1e-6
 
 
 def test_theorem1_reports(cache):
-    reports = residual_theorem1(cache, CENTER)
-    assert [r.equation for r in reports] == [
-        "thm1_00", "thm1_pt", "thm1_mt", "thm1_ps", "thm1_ms"
-    ]
+    reports = evaluate(cache, CENTER, ids=THM1_IDS)
+    assert [r.equation for r in reports] == THM1_IDS
     for r in reports:
         assert r.relative <= 1e-5, (r.equation, r.relative)
 
 
 def test_theorem1_one_matrix_limit(cache):
     # xi2 -> +inf reduces the system to the single-matrix equations
-    for r in residual_theorem1(cache, (0.0, 12.0, 0.5)):
+    for r in evaluate(cache, (0.0, 12.0, 0.5), ids=THM1_IDS):
         assert r.relative <= 1e-5, (r.equation, r.relative)
 
 
@@ -85,23 +79,23 @@ def test_theorem1_c_step_halving(cache):
 
 def test_theorem1_stencil_c_guard(cache):
     with pytest.raises(ValueError):
-        residual_theorem1(cache, (0.0, 0.3, 0.0015))
+        evaluate(cache, (0.0, 0.3, 0.0015), ids=THM1_IDS)
 
 
 def test_avm_generic_point(cache):
-    rep = residual_avm(cache, CENTER)
+    rep = evaluate(cache, CENTER, ids=["avm"])[0]
     assert rep.status == "ok"
     assert rep.relative <= 1e-4
     assert abs(rep.extras["F"]) > 1e-3  # denominator bounded away from zero
 
 
 def test_avm_trivial_in_one_matrix_limit(cache):
-    rep = residual_avm(cache, (0.0, 12.0, 0.5))
+    rep = evaluate(cache, (0.0, 12.0, 0.5), ids=["avm"])[0]
     assert rep.relative <= 1e-8
 
 
 def test_f4t_generic_and_cross_formalism(cache):
-    rep = residual_f4t(cache, CENTER)
+    rep = evaluate(cache, CENTER, ids=["f4t"])[0]
     assert rep.relative <= 1e-4
     # Toda-route evaluation equals the 2Fhat*(Tt3) - (x) combination of the
     # matrix-kernel route after the /64 rescaling
@@ -109,14 +103,14 @@ def test_f4t_generic_and_cross_formalism(cache):
 
 
 def test_f4t_trivial_at_infinity(cache):
-    rep = residual_f4t(cache, (12.0, 12.0, 0.5))
+    rep = evaluate(cache, (12.0, 12.0, 0.5), ids=["f4t"])[0]
     assert abs(rep.residual) <= 1e-10
 
 
 def test_corollary_main_reports(cache):
-    reports = residual_corollary_main(cache, CENTER)
+    reports = evaluate(cache, CENTER, ids=COR_IDS)
     ids = [r.equation for r in reports]
-    assert ids == ["cor_x", "cor_Ax", "cor_pm1", "cor_pm2", "cor_pm3", "cor_a"]
+    assert ids == COR_IDS
     assert reports[0].relative <= 1e-7  # (x) is FD-free
     for r in reports[1:]:
         assert r.relative <= 1e-5
@@ -124,7 +118,7 @@ def test_corollary_main_reports(cache):
 
 def test_corollary_x_degenerate_on_diagonal(cache):
     # X_3 vanishes on xi1 = xi2; the check must be skipped, not failed
-    reports = residual_corollary_main(cache, (0.2, 0.2, 0.5))
+    reports = evaluate(cache, (0.2, 0.2, 0.5), ids=COR_IDS)
     by_id = {r.equation: r for r in reports}
     assert by_id["cor_x"].status == "degenerate"
     assert by_id["cor_x"].passed is None
@@ -132,12 +126,12 @@ def test_corollary_x_degenerate_on_diagonal(cache):
 
 def test_ccom_pair(cache):
     for c in (0.3, 0.5, 0.7):
-        for rep in residual_ccom(cache, (0.3, -0.2, c)):
+        for rep in evaluate(cache, (0.3, -0.2, c), ids=["ccom_p", "ccom_m"]):
             assert rep.relative <= 1e-5, (rep.equation, c, rep.relative)
 
 
 def test_ccom_trivial_limit(cache):
-    for rep in residual_ccom(cache, (12.0, 12.0, 0.5)):
+    for rep in evaluate(cache, (12.0, 12.0, 0.5), ids=["ccom_p", "ccom_m"]):
         assert rep.status == "degenerate" or abs(rep.residual) <= 1e-9
 
 
@@ -158,22 +152,20 @@ def test_ccom_a_pm_correspondences(cache):
 
 
 def test_final_four_reports(cache):
-    reports = residual_final_four(cache, CENTER)
-    assert [r.equation for r in reports] == [
-        "fin_Axx", "fin_Ap2", "fin_Am2", "fin_aa", "fin_Px", "fin_Pp", "fin_Pa"
-    ]
+    reports = evaluate(cache, CENTER, ids=FIN_IDS)
+    assert [r.equation for r in reports] == FIN_IDS
     for r in reports:
         assert r.relative <= 1e-5, (r.equation, r.relative)
 
 
 def test_final_four_degenerate_guard(cache):
     # at xi2 -> inf, Delta -> 0: the one-matrix degeneration is skipped
-    reports = residual_final_four(cache, (0.0, 12.0, 0.5))
+    reports = evaluate(cache, (0.0, 12.0, 0.5), ids=FIN_IDS)
     assert all(r.status == "degenerate" for r in reports)
 
 
 def test_appendix_reports(cache):
-    reports = residual_appendix(cache, CENTER)
+    reports = evaluate(cache, CENTER, ids=APP_IDS)
     for r in reports:
         assert r.relative <= 1e-4, (r.equation, r.relative)
 
@@ -249,7 +241,7 @@ def test_pa_over_delta_vanishes_in_tail(cache):
 
 
 def test_report_serialization(cache):
-    rep = residual_boundary_toda(cache, CENTER)
+    rep = evaluate(cache, CENTER, ids=["toda00"])[0]
     blob = json.dumps(rep.to_dict(), sort_keys=True)
     back = json.loads(blob)
     for key in ("equation", "center", "residual", "scale", "relative",
@@ -273,8 +265,6 @@ def test_painleve_boundary(cache):
 def test_stencil_validation():
     with pytest.raises(ValueError):
         Stencil(h_xi=0.0)
-    with pytest.raises(ValueError):
-        Stencil(order=3)
     Stencil().check_c(0.5)
     with pytest.raises(ValueError):
         Stencil(h_c=0.3).check_c(0.5)
