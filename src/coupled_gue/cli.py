@@ -10,7 +10,9 @@ can gate CI.
 
 Each command accepts only the flags it reads (COMMAND_FLAGS); any other flag
 is a usage error (exit 2).  Every default lives in RunConfig, and `verify`
-echoes the whole config.  The FD steps --fd-h and --fd-hc apply as given to
+echoes the whole config.  `prob` and `scan` solve the Nystrom system with
+--quad-m nodes per ray; `verify` takes the closed-form Gram route (`gram`),
+which has no node count.  The FD steps --fd-h and --fd-hc apply as given to
 the default equations; the fifth-order ids take 2nd-order stencils at 4x
 both steps.
 """
@@ -26,6 +28,7 @@ import sys
 from dataclasses import dataclass, asdict, field
 
 from .kernel import KernelParams
+from . import gram
 from .fredholm import solve, endpoint_data
 from .observables import build_quartet, build_derived, SCALAR_FIELDS
 from .residuals import DEFAULT_STENCIL, PointCache, Stencil, evaluate
@@ -145,7 +148,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     stencil = Stencil(h_xi=cfg.fd_h, h_c=cfg.fd_hc)
     reports = []
     for c in cfg.c:
-        cache = PointCache(cfg.n, cfg.quad_m)
+        cache = PointCache(cfg.n)
         center = (cfg.xi[0], cfg.xi[1], c)
         for rep in evaluate(cache, center, stencil, ids=cfg.equations or None):
             if cfg.tol is not None and rep.status == "ok":
@@ -161,8 +164,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         for c in cfg.c:
             est = estimate_joint(cfg.n, c, cfg.xi[0], cfg.xi[1],
                                  cfg.samples, cfg.seed)
-            p_num = solve(KernelParams(cfg.n, c, cfg.xi[0], cfg.xi[1]),
-                          cfg.quad_m).prob
+            p_num = gram.solve(KernelParams(cfg.n, c, cfg.xi[0], cfg.xi[1])).prob
             mc_rows.append({
                 "n": cfg.n, "c": c, "xi1": cfg.xi[0], "xi2": cfg.xi[1],
                 "p_mc": est.p_hat, "stderr": est.stderr,
@@ -201,8 +203,8 @@ _PROB_FLAGS = ("--n", "--c", "--xi", "--quad-m", "--out", "--format")
 COMMAND_FLAGS = {
     "prob": _PROB_FLAGS,
     "scan": _PROB_FLAGS + ("--grid",),
-    "verify": ("--n", "--c", "--xi", "--quad-m", "--out", "--fd-h", "--fd-hc",
-               "--tol", "--equations", "--mc", "--samples", "--seed"),
+    "verify": ("--n", "--c", "--xi", "--out", "--fd-h", "--fd-hc", "--tol",
+               "--equations", "--mc", "--samples", "--seed"),
 }
 
 

@@ -10,6 +10,10 @@ differences, so they take 2nd-order stencils at 4x both steps.  Reports
 carry the residual, the magnitude scale of the constituent terms, and the
 relative residual, which is what tolerances apply to.
 
+Every point value comes from the closed-form Gram route (`gram`): a
+PointCache keeps one ray table per endpoint value and one 2n x 2n LU per
+stencil point, with no quadrature.
+
 Equations whose natural scale collapses at a center (empty-constraint
 limits xi -> inf, or the X_3 = 0 locus xi1 = xi2) are downgraded to
 status "degenerate" instead of producing meaningless ratios.
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field, asdict
 from functools import cached_property
 
 from .kernel import KernelParams
-from .fredholm import solve, endpoint_data
+from .gram import RayTables, endpoint_data, solve
 from .observables import (
     build_quartet,
     build_derived,
@@ -98,13 +102,13 @@ class ResidualReport:
 class _Point:
     """Lazy per-point data; heavy members computed once."""
 
-    def __init__(self, params: KernelParams, m: int):
+    def __init__(self, params: KernelParams, tables: RayTables):
         self.params = params
-        self.m = m
+        self.tables = tables
 
     @cached_property
     def sol(self):
-        return solve(self.params, self.m)
+        return solve(self.params, self.tables)
 
     @cached_property
     def end(self):
@@ -128,18 +132,21 @@ class _Point:
 
 
 class PointCache:
-    """Memoizes solves per (n, c, xi1, xi2, m); shared by all residuals."""
+    """Memoizes Gram solves per (xi1, xi2, c) at one n; shared by all residuals.
 
-    def __init__(self, n: int, m: int = DEFAULT_M):
+    The solves share one ray table per endpoint value (`gram.RayTables`).
+    """
+
+    def __init__(self, n: int):
         self.n = n
-        self.m = m
+        self.tables = RayTables(n)
         self._points: dict = {}
 
     def point(self, xi1: float, xi2: float, c: float) -> _Point:
         key = (xi1, xi2, c)
         p = self._points.get(key)
         if p is None:
-            p = _Point(KernelParams(self.n, c, xi1, xi2), self.m)
+            p = _Point(KernelParams(self.n, c, xi1, xi2), self.tables)
             self._points[key] = p
         return p
 
@@ -191,7 +198,7 @@ def _mk_report(eq, cache, center, residual, terms, tol, status="ok", extras=None
         passed = None
     return ResidualReport(
         equation=eq,
-        center={"n": cache.n, "c": c, "xi1": x1, "xi2": x2, "m": cache.m},
+        center={"n": cache.n, "c": c, "xi1": x1, "xi2": x2},
         residual=float(residual),
         scale=float(scale),
         relative=float(relative),
@@ -753,10 +760,11 @@ def richardson(cache, center, eq_id, stencil=None, factors=(8.0, 4.0, 2.0),
 
     Residuals are measured on a ladder of stencils scaled by `factors`; the
     observed slope log2(res(2h)/res(h)) is compared against the stencil's
-    nominal order.  Pairs whose residuals sit below `floor` (relative) are
-    noise-dominated and skipped; if no pair is measurable the equation is
-    already at the quadrature floor, which satisfies the requirement
-    vacuously (status 'floor').
+    nominal order.  The fifth-order ids take 2nd-order stencils in both
+    directions, so their ladder scales both steps.  Pairs whose residuals
+    sit below `floor` (relative) are noise-dominated and skipped; if no pair
+    is measurable the equation is already at the rounding floor, which
+    satisfies the requirement vacuously (status 'floor').
     """
     st = stencil or DEFAULT_STENCIL
     order = _GROUPS[eq_id][1]
@@ -764,8 +772,10 @@ def richardson(cache, center, eq_id, stencil=None, factors=(8.0, 4.0, 2.0),
     for f in factors:
         # scale only the step whose truncation order is being measured:
         # h_c for the 2nd-order (coupling) stencils, h_xi for the 4th-order
-        # endpoint stencils.
-        if order == 2:
+        # endpoint stencils, both for the fifth-order ids.
+        if eq_id in HIGHER_ORDER_IDS:
+            sc = st.scaled(f)
+        elif order == 2:
             sc = Stencil(h_xi=st.h_xi, h_c=f * st.h_c)
         elif order == 4:
             sc = Stencil(h_xi=f * st.h_xi, h_c=st.h_c)
@@ -795,10 +805,11 @@ def painleve_boundary_check(n, xi1, c, m=DEFAULT_M, xi2=12.0, stencil=None):
     The coupled composites P_t, P_3, P_x (third-order system) and P_x, the
     normalized P_plus (final system) all converge to the one-matrix
     Painleve IV combination; each is compared, at the one-matrix scale,
-    against an independent scalar-kernel evaluation.
+    against an independent scalar-kernel evaluation.  m is the node count of
+    that one-matrix Nystrom oracle; the coupled side takes the Gram route.
     """
     st = stencil or DEFAULT_STENCIL
-    cache = PointCache(n, m)
+    cache = PointCache(n)
     center = (xi1, xi2, c)
     d = cache.point(*center).derived
     fd = _fd_thirds(cache, center, st)

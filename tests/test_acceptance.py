@@ -187,7 +187,7 @@ def test_criterion_06_first_integrals_and_degeneracies(bank):
 def test_criterion_07_fd_free_residuals():
     worst = 0.0
     for n, c, x1, x2 in identity_grid():
-        cache = PointCache(n, M)
+        cache = PointCache(n)
         for rep in evaluate(cache, (x1, x2, c), ids=["toda00", "cor_x"]):
             assert rep.status == "ok", (n, c, x1, x2, rep.equation)
             worst = max(worst, rep.relative)
@@ -196,7 +196,7 @@ def test_criterion_07_fd_free_residuals():
 
 
 def test_criterion_08_fd_residuals_with_convergence_order():
-    cache = PointCache(2, M)
+    cache = PointCache(2)
     bad = []
     worst = 0.0
     for rep in evaluate(cache, FD_CENTER, ids=FD_EQS):
@@ -217,7 +217,7 @@ def test_criterion_08_fd_residuals_with_convergence_order():
 def test_criterion_09_ccom():
     worst = 0.0
     for c in CCOM_C:
-        cache = PointCache(2, M)
+        cache = PointCache(2)
         for rep in evaluate(cache, (*CCOM_XI, c), ids=["ccom_p", "ccom_m"]):
             assert rep.status == "ok"
             worst = max(worst, rep.relative)

@@ -14,6 +14,7 @@ FLAG_ARGS = {
     "--grid": ["0:1:3"], "--fd-h": ["1e-3"], "--fd-hc": ["5e-4"],
     "--tol": ["1e-6"], "--equations": ["toda00"], "--mc": [],
     "--samples": ["100"], "--seed": ["1"], "--format": ["json"],
+    "--quad-m": ["48"],
 }
 UNREAD = [(cmd, flag) for cmd in COMMAND_FLAGS for flag in FLAG_ARGS
           if flag not in COMMAND_FLAGS[cmd]]
@@ -149,9 +150,9 @@ def test_unread_flag_is_a_usage_error(command, flag, capsys):
 
 
 def test_unread_flags_counted():
-    # 8 flags prob does not read, 7 for scan, 2 for verify
-    assert len(UNREAD) == 17
-    assert sum(map(len, COMMAND_FLAGS.values())) == 25
+    # 8 flags prob does not read, 7 for scan, 3 for verify (it has no node count)
+    assert len(UNREAD) == 18
+    assert sum(map(len, COMMAND_FLAGS.values())) == 24
 
 
 def test_fd_steps_reach_the_fifth_order_ids(capsys):
@@ -165,6 +166,26 @@ def test_fd_steps_reach_the_fifth_order_ids(capsys):
     finer = residual("--fd-h", "1e-3", "--fd-hc", "5e-4")
     # 2nd-order truncation: 5x smaller steps, about 10x smaller residual
     assert abs(finer) < 0.2 * abs(default)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "20", "--c", "0.1", "--xi", "4", "4.5"),
+    ("--n", "50", "--c", "0.2", "--xi", "9", "9.5"),
+])
+def test_verify_at_large_n_and_small_c(argv, capsys):
+    # on the Nystrom route 36 and 20 of the 36 reports failed here (K_12 cancellation)
+    code, out = run_cli(capsys, "verify", *argv)
+    payload = json.loads(out)
+    assert code == 0
+    assert len(payload["reports"]) == 36
+    assert all(r["passed"] is not False for r in payload["reports"])
+    assert sum(r["passed"] is True for r in payload["reports"]) >= 34
+
+
+def test_verify_reports_carry_no_node_count(capsys):
+    code, out = run_cli(capsys, "verify", "--equations", "toda00")
+    assert code == 0
+    assert set(json.loads(out)["reports"][0]["center"]) == {"n", "c", "xi1", "xi2"}
 
 
 def test_prob_above_one_is_a_fredholm_error():

@@ -1,0 +1,112 @@
+"""The closed-form Gram route against the golden set, the Nystrom engine and 50-digit values."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from coupled_gue import KernelParams, gram
+from coupled_gue.residuals import PointCache, evaluate
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_values.json").read_text())
+MATRICES = ("r", "r_x", "r_y", "q", "p")
+
+# Golden points where the Gram route and the recorded ln P differ by more than
+# 1e-13, and a 50-digit evaluation of ln det M puts the recorded value further
+# off (the Nystrom values were recorded at m = 64):
+#   (n, c)       golden error   Gram error
+#   (5, 0.9)     3.7e-12        1.3e-14
+#   (10, 0.9)    2.8e-11        3.1e-14
+#   (20, 0.9)    2.9e-9         6.9e-12
+#   (10, 0.03)   9.8e-14        3.0e-14
+#   (20, 0.03)   7.4e-13        1.3e-13
+LOOSE = {(5, 0.9, 0.1623), (10, 0.9, 1.4721), (20, 0.9, 3.3246),
+         (10, 0.03, 2.4721), (20, 0.03, 4.3246)}
+TIGHT = [g for g in GOLDEN if (g["n"], g["c"], g["xi"][0]) not in LOOSE]
+
+# ln P at n = 50, xi = (9, 9.5), where the Nystrom K_12 cancels: a 50-digit
+# mpmath evaluation of ln det M with a tail of c^t < 1e-45.
+K12_POINTS = {
+    0.05: -2.25091236640676782837975621659,
+    0.1: -2.24618468876594227805897688001,
+    0.14: -2.24180492569125771374534992757,
+    0.2: -2.2340693706299019011741126741,
+}
+
+
+def _point_id(g):
+    return f"n{g['n']}-c{g['c']}-xi{g['xi'][0]}_{g['xi'][1]}"
+
+
+def test_tight_set_is_25_points():
+    assert len(TIGHT) == 25
+
+
+@pytest.mark.parametrize("g", TIGHT, ids=_point_id)
+def test_golden_point(g):
+    sol = gram.solve(KernelParams(g["n"], g["c"], *g["xi"]))
+    assert abs(sol.log_prob - g["ln_P"]) <= 1e-13
+    e = gram.endpoint_data(sol)
+    for name in MATRICES:
+        want = np.array(g[name])
+        got = getattr(e, name)
+        assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, np.abs(want))), name
+
+
+@pytest.mark.parametrize("g", TIGHT, ids=_point_id)
+def test_tilde_and_inner_products_match_nystrom(g, bank):
+    e = gram.endpoint_data(gram.solve(KernelParams(g["n"], g["c"], *g["xi"])))
+    ref = bank.end(g["n"], g["c"], *g["xi"])
+    for name in ("qt", "pt", "u", "w", "U_hat", "W_hat"):
+        want = getattr(ref, name)
+        got = getattr(e, name)
+        assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, np.abs(want))), name
+
+
+def test_doubled_tail_moves_no_golden_ln_p(monkeypatch):
+    short = [gram.solve(KernelParams(g["n"], g["c"], *g["xi"])).log_prob for g in GOLDEN]
+    tail = gram.tail_length
+    monkeypatch.setattr(gram, "tail_length", lambda c: 2 * tail(c))
+    long = [gram.solve(KernelParams(g["n"], g["c"], *g["xi"])).log_prob for g in GOLDEN]
+    assert max(abs(a - b) for a, b in zip(short, long)) < 1e-13
+
+
+def test_table_prefix_reads_give_identical_reports():
+    center = (0.0, 0.3, 0.5)
+
+    def blob(cache):
+        return json.dumps([r.to_dict() for r in evaluate(cache, center)], sort_keys=True)
+
+    fresh = blob(PointCache(2))
+    cache = PointCache(2)
+    evaluate(cache, (0.0, 0.3, 0.9), ids=["toda00", "avm"])   # longer tail, same rays
+    assert cache.tables.get(0.0, 2 + gram.tail_length(0.5)).k_max < \
+        cache.tables._tables[0.0].k_max
+    assert blob(cache) == fresh
+
+
+@pytest.mark.parametrize("c", sorted(K12_POINTS))
+def test_k12_cancellation_points(c):
+    sol = gram.solve(KernelParams(50, c, 9.0, 9.5))
+    assert abs(sol.log_prob - K12_POINTS[c]) <= 1e-12
+    assert sol.cond < 100.0
+
+
+def test_swap_symmetry():
+    for n, c, x1, x2 in ((10, 0.1, 3.5, 4.2), (20, 0.2, 5.0, 6.1), (50, 0.05, 9.0, 9.5)):
+        a = gram.solve(KernelParams(n, c, x1, x2)).log_prob
+        b = gram.solve(KernelParams(n, c, x2, x1)).log_prob
+        assert abs(a - b) <= 1e-13
+
+
+def test_one_matrix_limit_is_exactly_c_independent():
+    # far right ray 2: T vanishes and the pivots stay in the H blocks
+    vals = {gram.solve(KernelParams(2, c, -0.5, 12.0)).log_prob for c in (0.3, 0.5, 0.501, 0.7)}
+    assert len(vals) == 1
+
+
+def test_tables_must_match_n():
+    with pytest.raises(ValueError):
+        gram.solve(KernelParams(3, 0.5, 0.0, 0.3), gram.RayTables(2))
+

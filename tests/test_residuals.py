@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from coupled_gue import gram
 from coupled_gue.residuals import (
     DEFAULT_STENCIL,
     EQUATION_IDS,
@@ -23,7 +24,7 @@ APP_IDS = [i for i in EQUATION_IDS if i.startswith("app_")]
 
 @pytest.fixture(scope="module")
 def cache():
-    return PointCache(2, 64)
+    return PointCache(2)
 
 
 def test_all_default_equations_pass(cache):
@@ -48,14 +49,14 @@ def test_boundary_toda_trivial_limit(cache):
     assert rep.relative <= 1e-9
 
 
-def test_boundary_toda_convergence_with_quadrature():
-    # residual drops with m until the working-precision floor
-    c32 = PointCache(2, 32)
-    c64 = PointCache(2, 64)
-    r32 = evaluate(c32, CENTER, ids=["toda00"])[0]
-    r64 = evaluate(c64, CENTER, ids=["toda00"])[0]
-    assert r64.relative <= max(r32.relative, 1e-13)
-    assert r64.relative <= 1e-6
+def test_boundary_toda_converged_in_tail_length(monkeypatch):
+    # doubling the K_12 tail of the Gram route leaves the residual at its floor
+    short = evaluate(PointCache(2), CENTER, ids=["toda00"])[0]
+    tail = gram.tail_length
+    monkeypatch.setattr(gram, "tail_length", lambda c: 2 * tail(c))
+    long = evaluate(PointCache(2), CENTER, ids=["toda00"])[0]
+    assert abs(long.residual - short.residual) <= 1e-13 * short.scale
+    assert long.relative <= 1e-6
 
 
 def test_theorem1_reports(cache):
@@ -181,6 +182,14 @@ def test_richardson_fourth_order(cache):
         info = richardson(cache, CENTER, eq)
         assert info["ok"], info
         assert any(abs(s - 4.0) <= 0.8 for s in info["slopes"])
+
+
+def test_richardson_fifth_order(cache):
+    # both steps scale, so the 2nd-order truncation shows in every id
+    for eq in HIGHER_ORDER_IDS:
+        info = richardson(cache, CENTER, eq)
+        assert info["ok"], info
+        assert all(abs(s - 2.0) <= 0.4 for s in info["slopes"]), info
 
 
 def test_appendix_c_reduction_identity(cache):

@@ -1,13 +1,15 @@
 """Byte-identity check of the command-line interface.
 
-    python3 tools/cli_digest.py SRC_DIR [--each]
+    python3 tools/cli_digest.py SRC_DIR [--each] [--only prob,scan]
 
 Runs a fixed list of `coupled-gue` commands in-process against the
 `coupled_gue` package found in SRC_DIR and prints the number of commands
 and one sha256 over (argv, exit code, stdout or raised exception) of each.
 Two source trees that give the same digest gave the same bytes on every
 command.  `--each` also prints one short hash per command, so two runs can
-be diffed to find the commands that differ.
+be diffed to find the commands that differ.  `--only` keeps the commands of
+the named subcommands, so a change meant to move one command's output can
+show the others unchanged.
 
 The digest depends on the BLAS build (summation order inside LAPACK), so
 compare two trees on the same machine; BLAS runs on one thread here.
@@ -15,6 +17,7 @@ compare two trees on the same machine; BLAS runs on one thread here.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -81,19 +84,23 @@ def run(cli, argv: list[str]) -> dict:
 
 
 def main() -> int:
-    if len(sys.argv) not in (2, 3) or sys.argv[2:] not in ([], ["--each"]):
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    sys.path.insert(0, os.path.abspath(sys.argv[1]))
+    ap = argparse.ArgumentParser(description="sha256 over the output of fixed CLI commands")
+    ap.add_argument("src", help="directory holding the coupled_gue package")
+    ap.add_argument("--each", action="store_true", help="also print one hash per command")
+    ap.add_argument("--only", type=lambda s: s.split(","),
+                    help="comma-separated subcommands to keep, e.g. prob,scan")
+    args = ap.parse_args()
+    sys.path.insert(0, os.path.abspath(args.src))
     from coupled_gue import cli
 
+    cmds = [argv for argv in commands() if args.only is None or argv[0] in args.only]
     total = hashlib.sha256()
-    for argv in commands():
+    for argv in cmds:
         blob = json.dumps(run(cli, argv), sort_keys=True).encode()
         total.update(blob)
-        if sys.argv[2:]:
+        if args.each:
             print(hashlib.sha256(blob).hexdigest()[:16], " ".join(argv))
-    print(len(commands()), total.hexdigest())
+    print(len(cmds), total.hexdigest())
     return 0
 
 
