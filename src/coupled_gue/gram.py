@@ -60,13 +60,22 @@ G[k, k] (phi_k^2 is even), and the other one is 1 minus it.  So the G rows
 used for q~, p~, u and w never form 1 - H[k, k] where H[k, k] is close to 1.
 
 No entry depends on t, so a table built for a longer tail serves a shorter
-one by a prefix read, with the same numbers (RayTables).
+one by a prefix read, with the same numbers (RayTables).  A table stores its
+four endpoint vectors as one (k_max + 1, 4) block, the right-hand sides of
+endpoint_data.  Told the widest coupling a stencil reaches (RayTables.reach),
+RayTables builds each endpoint's table once.
+
+solve() calls LAPACK directly: dgetrf on M (after the finiteness check that
+scipy's lu_factor makes), dgetrs for the 8 right-hand sides.  The condition
+estimate (dgecon) is computed only when GramSolution.cond is read, and on
+the paths that raise FredholmError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -92,29 +101,43 @@ def tail_length(c: float) -> int:
 class RayTable:
     """Closed-form tables at one ray endpoint xi, for oscillator indices 0..k_max."""
 
-    phi: np.ndarray    # (k_max + 1,) phi_k(xi)
-    dphi: np.ndarray   # (k_max + 1,) phi_k'(xi)
-    h: np.ndarray      # (n + 1, k_max + 1) rows 0..n of H
-    g: np.ndarray      # (2, k_max + 1) rows n - 1 and n of G = I - H
+    v: np.ndarray   # (k_max + 1, 4) columns phi_k(xi), phi_k'(xi), G[k, n], G[k, n - 1]
+    h: np.ndarray   # (n + 1, k_max + 1) rows 0..n of H
 
     @property
     def k_max(self) -> int:
-        return self.phi.size - 1
+        return self.v.shape[0] - 1
 
     def prefix(self, k_max: int) -> "RayTable":
         k = k_max + 1
-        return RayTable(self.phi[:k], self.dphi[:k], self.h[:, :k], self.g[:, :k])
+        return RayTable(self.v[:k], self.h[:, :k])
+
+
+# Recurrence coefficients sqrt(2/(k+1)) and sqrt(k/(k+1)) for k < len, and
+# sqrt(2k) for k < _SQRT_2K.size; grown on demand, shared by every table.
+_REC_A: list = []
+_REC_B: list = []
+_SQRT_2K = np.zeros(1)
+
+
+def _coefficients(k_max: int) -> None:
+    global _SQRT_2K
+    for k in range(len(_REC_A), k_max):
+        _REC_A.append(math.sqrt(2.0 / (k + 1)))
+        _REC_B.append(math.sqrt(k / (k + 1.0)))
+    if _SQRT_2K.size <= k_max:
+        _SQRT_2K = np.sqrt(2.0 * np.arange(2 * k_max + 1))
 
 
 def ray_table(n: int, xi: float, k_max: int) -> RayTable:
     """The tables at xi for a matrix size n; k_max >= n."""
-    phi = [0.0] * (k_max + 1)
-    phi[0] = math.exp(-0.5 * xi * xi - _LOG_PI_4)
-    phi[1] = math.sqrt(2.0) * xi * phi[0]
-    for k in range(1, k_max):
-        phi[k + 1] = math.sqrt(2.0 / (k + 1)) * xi * phi[k] - math.sqrt(k / (k + 1.0)) * phi[k - 1]
-    dphi = [-xi * phi[0]] + [-xi * phi[k] + math.sqrt(2.0 * k) * phi[k - 1]
-                             for k in range(1, k_max + 1)]
+    _coefficients(k_max)
+    p0 = math.exp(-0.5 * xi * xi - _LOG_PI_4)
+    p1 = math.sqrt(2.0) * xi * p0
+    phi = [p0, p1]
+    for a, b in zip(_REC_A[1:k_max], _REC_B[1:k_max]):
+        p0, p1 = p1, a * xi * p1 - b * p0
+        phi.append(p1)
 
     # small[k] = int_{-inf}^{-|xi|} phi_k^2; phi_k phi_{k+1} is odd
     sign = 1.0 if xi <= 0.0 else -1.0
@@ -124,33 +147,60 @@ def ray_table(n: int, xi: float, k_max: int) -> RayTable:
     small = np.array(small)
     h_diag, g_diag = (small, 1.0 - small) if xi <= 0.0 else (1.0 - small, small)
 
-    phi, dphi = np.array(phi), np.array(dphi)
+    phi = np.array(phi)
+    dphi = -xi * phi
+    dphi[1:] += _SQRT_2K[1:k_max + 1] * phi[:-1]
     rows = np.arange(n + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = ((phi[None, :] * dphi[:n + 1, None] - phi[:n + 1, None] * dphi[None, :])
-             / (2.0 * (np.arange(k_max + 1)[None, :] - rows[:, None])))
+    den = 2.0 * (np.arange(k_max + 1)[None, :] - rows[:, None])
+    den[rows, rows] = 1.0          # the Wronskian form holds off the diagonal only
+    h = (phi[None, :] * dphi[:n + 1, None] - phi[:n + 1, None] * dphi[None, :]) / den
     h[rows, rows] = h_diag
-    g = -h[n - 1:n + 1]
-    g[0, n - 1], g[1, n] = g_diag[n - 1], g_diag[n]
-    return RayTable(phi, dphi, h, g)
+    v = np.empty((k_max + 1, 4))
+    v[:, 0], v[:, 1], v[:, 2], v[:, 3] = phi, dphi, -h[n], -h[n - 1]
+    v[n, 2], v[n - 1, 3] = g_diag[n], g_diag[n - 1]
+    return RayTable(v, h)
 
 
 class RayTables:
     """Ray tables at one matrix size n, one per endpoint value.
 
-    A table is built at the largest k_max asked for so far; a smaller k_max
+    A table is built at the largest k_max asked for so far, and at least at
+    the tail of the widest coupling announced by reach(); a smaller k_max
     reads its prefix, which holds the same numbers a fresh build would.
     """
 
     def __init__(self, n: int):
         self.n = n
+        self.k_min = 0
         self._tables: dict = {}
+        self._powers: dict = {}
+
+    def reach(self, c: float) -> None:
+        """Build every later table long enough for the K_12 tail at coupling c."""
+        self.k_min = max(self.k_min, self.n + tail_length(c))
+
+    def powers(self, c: float) -> tuple:
+        """(c^(l-n) for l = n..n + t, -c^(n-k) for k < n) at c, computed once per c."""
+        pw = self._powers.get(c)
+        if pw is None:
+            pw = self._powers[c] = (c ** np.arange(tail_length(c) + 1.0),
+                                    -(c ** (self.n - np.arange(self.n, dtype=float))))
+        return pw
 
     def get(self, xi: float, k_max: int) -> RayTable:
         tab = self._tables.get(xi)
         if tab is None or tab.k_max < k_max:
-            tab = self._tables[xi] = ray_table(self.n, xi, k_max)
+            tab = self._tables[xi] = ray_table(self.n, xi, max(k_max, self.k_min))
         return tab if tab.k_max == k_max else tab.prefix(k_max)
+
+
+_getrf, _getrs, _gecon = sla.get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=np.float64)
+
+
+def _cond(mat: np.ndarray, lu: np.ndarray) -> float:
+    """1-norm condition estimate of mat from its LU factors (LAPACK dgecon)."""
+    rcond, _ = _gecon(lu, np.linalg.norm(mat, 1), norm="1")
+    return math.inf if rcond == 0.0 else 1.0 / rcond
 
 
 @dataclass
@@ -160,14 +210,19 @@ class GramSolution:
     params: KernelParams
     rays: tuple          # (RayTable at xi_1, RayTable at xi_2), indices 0..n + t
     tail: np.ndarray     # (t + 1,) c^(l-n) for l = n..n + t
-    lu: np.ndarray       # (2n, 2n) LU factors of [[H_2, -C], [T, H_1]]
+    mat: np.ndarray      # (2n, 2n) [[H_2, -C], [T, H_1]], kept for cond
+    lu: np.ndarray       # (2n, 2n) LU factors of mat
     piv: np.ndarray      # (2n,) pivot indices of lu
     log_prob: float      # ln det M; solve() raises unless 0 < det M <= 1
-    cond: float          # 1-norm condition estimate of M
 
     @property
     def prob(self) -> float:
         return math.exp(self.log_prob)
+
+    @cached_property
+    def cond(self) -> float:
+        """1-norm condition estimate of M, computed when first read."""
+        return _cond(self.mat, self.lu)
 
 
 def solve(p: KernelParams, tables: RayTables | None = None) -> GramSolution:
@@ -177,34 +232,42 @@ def solve(p: KernelParams, tables: RayTables | None = None) -> GramSolution:
         tables = RayTables(n)
     elif tables.n != n:
         raise ValueError(f"ray tables are for n={tables.n}, not n={n}")
-    k_max = n + tail_length(c)
+    tail, minus_c = tables.powers(c)
+    k_max = n + tail.size - 1
     rays = (tables.get(p.xi1, k_max), tables.get(p.xi2, k_max))
-    tail = c ** np.arange(k_max - n + 1.0)
     h1, h2 = (r.h[:n] for r in rays)
     # M with both block rows and block columns swapped (the same determinant)
     mat = np.empty((2 * n, 2 * n))
     mat[:n, :n] = h2[:, :n]
-    mat[:n, n:] = np.diag(-(c ** (n - np.arange(n, dtype=float))))
+    mat[:n, n:] = 0.0
+    lo = np.arange(n)
+    mat[lo, n + lo] = minus_c
     mat[n:, :n] = (h1[:, n:] * tail) @ h2[:, n:].T
     mat[n:, n:] = h1[:, :n]
 
-    anorm = np.linalg.norm(mat, 1)
-    lu, piv = sla.lu_factor(mat)
-    diag = np.diag(lu)
-    rcond, _ = sla.lapack.dgecon(lu, anorm, norm="1")
-    cond = math.inf if rcond == 0.0 else 1.0 / rcond
-
-    if np.any(diag == 0.0):
-        raise FredholmError("M is numerically singular", cond=cond)
-    perm_sign = 1 if np.sum(piv != np.arange(2 * n)) % 2 == 0 else -1
-    if perm_sign * (1 if np.prod(np.sign(diag)) > 0 else -1) <= 0:
+    if not np.isfinite(mat).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lu, piv, info = _getrf(mat)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgetrf")
+    if info > 0:                      # a pivot is exactly zero
+        raise FredholmError("M is numerically singular", cond=_cond(mat, lu))
+    diag = lu.diagonal()
+    # det M < 0 iff the row swaps and the negative pivots are odd in number
+    if (np.count_nonzero(piv != np.arange(2 * n)) + np.count_nonzero(diag < 0.0)) % 2:
+        cond = _cond(mat, lu)
         raise FredholmError(f"det M has non-positive sign (cond ~ {cond:.3e})", cond=cond)
-    log_prob = float(np.sum(np.log(np.abs(diag))))
+    log_prob = float(np.log(np.abs(diag)).sum())
     if log_prob > 0.0:
+        cond = _cond(mat, lu)
         raise FredholmError(
             f"ln det M = {log_prob:.6g} > 0, a probability above 1 (cond ~ {cond:.3e})",
             cond=cond)
-    return GramSolution(p, rays, tail, lu, piv, log_prob, cond)
+    return GramSolution(p, rays, tail, mat, lu, piv, log_prob)
+
+
+def _diag2(a: float, b: float) -> np.ndarray:
+    return np.array([[a, 0.0], [0.0, b]])
 
 
 def endpoint_data(sol: GramSolution) -> EndpointData:
@@ -214,16 +277,15 @@ def endpoint_data(sol: GramSolution) -> EndpointData:
     s = (n / 2.0) ** 0.25
     r1, r2 = sol.rays
     e = sol.tail[:, None]
-    # per ray, the four vectors phi, phi', G[:, n], G[:, n-1] as columns
-    v1, v2 = (np.column_stack([r.phi, r.dphi, r.g[1], r.g[0]]) for r in sol.rays)
+    v1, v2 = r1.v, r2.v                # columns phi, phi', G[:, n], G[:, n-1]
     b1hi = -e * v2[n:]                 # b_1[hi] of D b for b = e_2 (x) w; 0 for e_1
 
     # in the swapped order: block-2 equations and z_2[lo] first
-    rhs = np.zeros((2 * n, 8))
+    rhs = np.zeros((2 * n, 8), order="F")
     rhs[:n, 4:] = v2[:n]
     rhs[n:, :4] = v1[:n]
     rhs[n:, 4:] = -r1.h[:n, n:] @ b1hi
-    z = sla.lu_solve((sol.lu, sol.piv), rhs)
+    z, _ = _getrs(sol.lu, sol.piv, rhs, overwrite_b=True)
     z2lo, z1lo = z[:n], z[n:]
     z1hi = e * (r2.h[:n, n:].T @ z2lo)
     z1hi[:, 4:] += b1hi
@@ -231,11 +293,11 @@ def endpoint_data(sol: GramSolution) -> EndpointData:
     # x[i, a, j, b]: vector a at xi_i contracted with z_i for w = vector b at xi_j
     x = np.stack([v1[:n].T @ z1lo + v1[n:].T @ z1hi, v2[:n].T @ z2lo])
     x = x.reshape(2, 4, 2, 4)
-    phi_n = np.diag([r1.phi[n], r2.phi[n]])
-    phi_m = np.diag([r1.phi[n - 1], r2.phi[n - 1]])
+    phi_n = _diag2(v1[n, 0], v2[n, 0])
+    phi_m = _diag2(v1[n - 1, 0], v2[n - 1, 0])
 
-    um = s * s * (np.diag([r1.g[1, n], r2.g[1, n]]) + x[:, 2, :, 2])
-    wm = s * s * (np.diag([r1.g[0, n - 1], r2.g[0, n - 1]]) + x[:, 3, :, 3])
+    um = s * s * (_diag2(v1[n, 2], v2[n, 2]) + x[:, 2, :, 2])
+    wm = s * s * (_diag2(v1[n - 1, 3], v2[n - 1, 3]) + x[:, 3, :, 3])
     sig = p.sigma
     sig_m = sig * SIGMA3
     w_hatted = (I2 - sig_m) @ wm @ (I2 + sig_m) / (1.0 - sig * sig)

@@ -155,13 +155,20 @@ def r_derivatives(e: EndpointData) -> tuple[np.ndarray, np.ndarray]:
     return dp_r, dm_r
 
 
-def build_quartet(e: EndpointData) -> MatrixQuartet:
-    q_hat, p_hat, qt_hat, pt_hat = hatted_vars(e)
+def build_quartet(e: EndpointData, hats: tuple | None = None) -> MatrixQuartet:
+    """The quartet at e; hats = hatted_vars(e) when the caller has it."""
+    q_hat, p_hat, qt_hat, pt_hat = hats or hatted_vars(e)
     qp = q_hat @ pt_hat
     pq = p_hat @ qt_hat
     phi = 2.0 * (p_hat @ e.U_hat @ pt_hat - q_hat @ e.W_hat @ qt_hat)
     g = 2.0 * (p_hat @ e.U_hat @ pt_hat + q_hat @ e.W_hat @ qt_hat)
     return MatrixQuartet(X_plus=qp + pq, X_minus=qp - pq, Phi=phi, G=g)
+
+
+def _trace(m: np.ndarray) -> float:
+    """float(np.trace(m)) for a 2x2 m, bit for bit: numpy's sum starts from
+    +0.0, which turns a -0.0 + -0.0 diagonal into +0.0."""
+    return float(0.0 + m[0, 0] + m[1, 1])
 
 
 def _tr3(m: np.ndarray) -> float:
@@ -215,12 +222,12 @@ def build_derived(e: EndpointData, q: MatrixQuartet, p: KernelParams) -> Derived
     xi_p = p.xi1 + p.xi2
     xi_m = p.xi1 - p.xi2
 
-    r_t = float(np.trace(e.r))
+    r_t = _trace(e.r)
     r_3 = _tr3(e.r)
     dp_r, dm_r = r_derivatives(e)
-    dp_rt = float(np.trace(dp_r))
+    dp_rt = _trace(dp_r)
     dp_r3 = _tr3(dp_r)
-    dm_rt = float(np.trace(dm_r))
+    dm_rt = _trace(dm_r)
     dm_r3 = _tr3(dm_r)
 
     a_mat = a_matrix(e.r, sig)
@@ -242,7 +249,7 @@ def build_derived(e: EndpointData, q: MatrixQuartet, p: KernelParams) -> Derived
     if abs(x_3 - x_3_alt) > _XCHECK_TOL * ref:
         warnings.append(f"X_3 routes disagree: {x_3:.6e} vs {x_3_alt:.6e}")
 
-    phi_t = float(np.trace(q.Phi))
+    phi_t = _trace(q.Phi)
     phi_3 = _tr3(q.Phi)
     xp_a = q.X_plus
     xm_a = q.X_minus
@@ -252,7 +259,7 @@ def build_derived(e: EndpointData, q: MatrixQuartet, p: KernelParams) -> Derived
     h_3 = 4.0 * r_3 - 2.0 * xi_m * dm_r3 + xi_p * x_3
     g_t = h_t + a_plus
     g_3 = h_3 + a_minus
-    g_t_alt = float(np.trace(q.G))
+    g_t_alt = _trace(q.G)
     g_3_alt = _tr3(q.G)
     gref = max(abs(g_t), abs(g_3), 1e-30)
     if abs(g_t - g_t_alt) > _XCHECK_TOL * gref:
@@ -297,8 +304,8 @@ def build_derived(e: EndpointData, q: MatrixQuartet, p: KernelParams) -> Derived
         Xp_a2=float(xp_a[0, 1] * xp_a[1, 0]),
         Xm_a2=float(xm_a[0, 1] * xm_a[1, 0]),
         C_a=float(xp_a[0, 1] * xm_a[1, 0] - xm_a[0, 1] * xp_a[1, 0]),
-        tr_U=float(np.trace(e.U_hat)),
-        tr_W=float(np.trace(e.W_hat)),
+        tr_U=_trace(e.U_hat),
+        tr_W=_trace(e.W_hat),
         warnings=warnings,
     )
 
@@ -334,30 +341,31 @@ def tau_ratios(e: EndpointData, p: KernelParams) -> tuple[float, float]:
     and its W_hat counterpart."""
     root = math.sqrt(2.0 * p.n)
     up_c, dn_c = tau_ratio_consts(p.n, p.c)
-    up = float(np.trace(e.U_hat)) / root * up_c
-    dn = float(np.trace(e.W_hat)) / root * dn_c
+    up = _trace(e.U_hat) / root * up_c
+    dn = _trace(e.W_hat) / root * dn_c
     return up, dn
 
 
-def theorem1_uw(e: EndpointData, p: KernelParams) -> dict:
+def theorem1_uw(e: EndpointData, p: KernelParams, hats: tuple | None = None) -> dict:
     """U, W of the Toda-side system and their exact first derivatives.
 
     U = U_n (1-c^2)^(n+1/2), W = W_n (1-c^2)^-(n-1/2); the derivative
-    matrices come from D+- U_hat = qt^ (sigma_3) q^, D+- W_hat = -pt^ (sigma_3) p^.
+    matrices come from D+- U_hat = qt^ (sigma_3) q^, D+- W_hat = -pt^ (sigma_3) p^;
+    hats = hatted_vars(e) when the caller has it.
     """
     n, c = p.n, p.c
     root = math.sqrt(2.0 * n)
     up_c, dn_c = tau_ratio_consts(n, c)
     fu = (1.0 - c * c) ** (n + 0.5) * up_c / root
     fw = (1.0 - c * c) ** (-(n - 0.5)) * dn_c / root
-    q_hat, p_hat, qt_hat, pt_hat = hatted_vars(e)
-    tr_u = float(np.trace(e.U_hat))
-    tr_w = float(np.trace(e.W_hat))
+    q_hat, p_hat, qt_hat, pt_hat = hats or hatted_vars(e)
+    tr_u = _trace(e.U_hat)
+    tr_w = _trace(e.W_hat)
     return {
         "U": fu * tr_u,
         "W": fw * tr_w,
-        "DpU": fu * float(np.trace(qt_hat @ q_hat)),
-        "DmU": fu * float(np.trace(qt_hat @ SIGMA3 @ q_hat)),
-        "DpW": -fw * float(np.trace(pt_hat @ p_hat)),
-        "DmW": -fw * float(np.trace(pt_hat @ SIGMA3 @ p_hat)),
+        "DpU": fu * _trace(qt_hat @ q_hat),
+        "DmU": fu * _trace(qt_hat @ SIGMA3 @ q_hat),
+        "DpW": -fw * _trace(pt_hat @ p_hat),
+        "DmW": -fw * _trace(pt_hat @ SIGMA3 @ p_hat),
     }

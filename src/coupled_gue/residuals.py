@@ -22,7 +22,7 @@ status "degenerate" instead of producing meaningless ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .kernel import KernelParams
@@ -30,6 +30,7 @@ from .gram import RayTables, endpoint_data, solve
 from .observables import (
     build_quartet,
     build_derived,
+    hatted_vars,
     theorem1_uw,
     log_tau_n,
     final_composites,
@@ -96,7 +97,19 @@ class ResidualReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a dict, as dataclasses.asdict gives them; center and
+        extras are copied, their values are numbers."""
+        return {
+            "equation": self.equation,
+            "center": dict(self.center),
+            "residual": self.residual,
+            "scale": self.scale,
+            "relative": self.relative,
+            "tolerance": self.tolerance,
+            "passed": self.passed,
+            "status": self.status,
+            "extras": dict(self.extras),
+        }
 
 
 class _Point:
@@ -115,8 +128,12 @@ class _Point:
         return endpoint_data(self.sol)
 
     @cached_property
+    def hats(self):
+        return hatted_vars(self.end)
+
+    @cached_property
     def quartet(self):
-        return build_quartet(self.end)
+        return build_quartet(self.end, self.hats)
 
     @cached_property
     def derived(self):
@@ -124,7 +141,7 @@ class _Point:
 
     @cached_property
     def uw(self):
-        return theorem1_uw(self.end, self.params)
+        return theorem1_uw(self.end, self.params, self.hats)
 
     @cached_property
     def T(self):
@@ -732,6 +749,15 @@ HIGHER_ORDER_IDS = ["app_T1", "app_T2", "app_AG0", "app_tAG0"]
 EQUATION_IDS = [k for k in _GROUPS if k not in HIGHER_ORDER_IDS]
 
 
+def _reach(cache, c, st, ids):
+    """Announce the widest coupling the stencil reaches, so that each ray
+    table is built once: the c-differences reach c + h_c, and the nested ones
+    of the fifth-order ids c + 2 (4 h_c)."""
+    top = c + (8.0 if any(i in HIGHER_ORDER_IDS for i in ids) else 1.0) * st.h_c
+    if top < 1.0:
+        cache.tables.reach(top)
+
+
 def evaluate(cache, center, stencil=None, ids=None, include_higher=False):
     """Evaluate residual reports for the requested equation ids."""
     st = stencil or DEFAULT_STENCIL
@@ -740,6 +766,7 @@ def evaluate(cache, center, stencil=None, ids=None, include_higher=False):
     unknown = [i for i in ids if i not in _GROUPS]
     if unknown:
         raise ValueError(f"unknown equation ids: {unknown}")
+    _reach(cache, center[2], st, ids)
     wanted = set(ids)
     seen_groups = []
     reports = []

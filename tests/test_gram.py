@@ -1,12 +1,16 @@
 """The closed-form Gram route against the golden set, the Nystrom engine and 50-digit values."""
 
 import json
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from coupled_gue import KernelParams, gram
+from coupled_gue.fredholm import FredholmError
 from coupled_gue.residuals import PointCache, evaluate
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_values.json").read_text())
@@ -110,3 +114,84 @@ def test_tables_must_match_n():
     with pytest.raises(ValueError):
         gram.solve(KernelParams(3, 0.5, 0.0, 0.3), gram.RayTables(2))
 
+
+
+def _eager_m_and_cond(p, tables):
+    """M in the swapped order, and its condition estimate computed the way
+    solve() once computed it on every call: dgecon on scipy's lu_factor."""
+    n, c = p.n, p.c
+    k_max = n + gram.tail_length(c)
+    h1, h2 = (tables.get(x, k_max).h[:n] for x in (p.xi1, p.xi2))
+    tail = c ** np.arange(k_max - n + 1.0)
+    mat = np.empty((2 * n, 2 * n))
+    mat[:n, :n] = h2[:, :n]
+    mat[:n, n:] = np.diag(-(c ** (n - np.arange(n, dtype=float))))
+    mat[n:, :n] = (h1[:, n:] * tail) @ h2[:, n:].T
+    mat[n:, n:] = h1[:, :n]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)   # an exactly singular M
+        lu, _ = sla.lu_factor(mat)
+    rcond, _ = sla.lapack.dgecon(lu, np.linalg.norm(mat, 1), norm="1")
+    return mat, (math.inf if rcond == 0.0 else 1.0 / rcond)
+
+
+@pytest.mark.parametrize("g", GOLDEN, ids=_point_id)
+def test_cond_on_demand_is_the_eager_estimate(g):
+    p = KernelParams(g["n"], g["c"], *g["xi"])
+    tables = gram.RayTables(p.n)
+    sol = gram.solve(p, tables)
+    assert "cond" not in vars(sol)          # not computed until read
+    mat, cond = _eager_m_and_cond(p, tables)
+    assert np.array_equal(sol.mat, mat)
+    assert sol.cond == cond
+
+
+@pytest.mark.parametrize("args, match", [
+    ((2, 0.5, -40.0, -40.0), "singular"),
+    ((50, 0.12, 0.0, 0.3), "non-positive sign"),
+    ((50, 0.9, -2.0, -2.0), "non-positive sign"),
+])
+def test_fredholm_errors_carry_cond(args, match):
+    p = KernelParams(*args)
+    tables = gram.RayTables(p.n)
+    with pytest.raises(FredholmError, match=match) as exc:
+        gram.solve(p, tables)
+    assert exc.value.cond == _eager_m_and_cond(p, tables)[1]
+
+
+def test_probability_above_one_carries_cond(monkeypatch):
+    # no point is known where ln det M rounds above 0, so scale a pivot up
+    getrf = gram._getrf
+
+    def scaled(mat):
+        lu, piv, info = getrf(mat)
+        lu[0, 0] *= 1e3
+        return lu, piv, info
+
+    monkeypatch.setattr(gram, "_getrf", scaled)
+    with pytest.raises(FredholmError, match="> 0") as exc:
+        gram.solve(KernelParams(2, 0.5, 2.0, 2.5))
+    assert exc.value.cond >= 1.0
+
+
+# The fifth-order ids at the default center, and c + h_c at c = 0.401, need a
+# longer K_12 tail than the first point evaluated, at c.
+@pytest.mark.parametrize("n, center, higher", [
+    (2, (0.0, 0.3, 0.5), False),
+    (2, (0.0, 0.3, 0.5), True),
+    (10, (5.0, 5.5, 0.401), False),
+])
+def test_one_table_build_per_endpoint(monkeypatch, n, center, higher):
+    assert gram.tail_length(0.402) > gram.tail_length(0.401)
+    builds = []
+    build = gram.ray_table
+
+    def counted(n_, xi, k_max):
+        builds.append(xi)
+        return build(n_, xi, k_max)
+
+    monkeypatch.setattr(gram, "ray_table", counted)
+    cache = PointCache(n)
+    evaluate(cache, center, include_higher=higher)
+    endpoints = {xi for key in cache._points for xi in key[:2]}
+    assert sorted(builds) == sorted(endpoints)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -256,6 +257,16 @@ def test_report_serialization(cache):
     for key in ("equation", "center", "residual", "scale", "relative",
                 "tolerance", "passed"):
         assert key in back
+
+
+def test_report_dict_is_asdict_without_the_deep_copy(cache):
+    for rep in evaluate(cache, CENTER, include_higher=True):
+        d = rep.to_dict()
+        assert json.dumps(d, sort_keys=True) == json.dumps(dataclasses.asdict(rep), sort_keys=True)
+        d["center"]["n"] = -1
+        d["extras"]["added"] = 1.0
+        assert rep.center["n"] == 2
+        assert "added" not in rep.extras
 
 
 def test_unknown_equation_id(cache):

@@ -68,6 +68,9 @@ def commands() -> list[list[str]]:
     cmds.append(["verify", "--n", "2", "--c", "0.5", "--xi", "0.5", "0.5",
                  "--equations", "toda00", "--mc", "--samples", "20000",
                  "--seed", "3"])
+    # n >= 10 at small c, where the Nystrom K_12 cancels
+    cmds.append(["verify", "--n", "20", "--c", "0.1", "--xi", "4", "4.5"])
+    cmds.append(["verify", "--n", "50", "--c", "0.2", "--xi", "9", "9.5"])
     return cmds
 
 
