@@ -10,11 +10,11 @@ can gate CI.
 
 Each command accepts only the flags it reads (COMMAND_FLAGS); any other flag
 is a usage error (exit 2).  Every default lives in RunConfig, and `verify`
-echoes the whole config.  `prob` and `scan` solve the Nystrom system with
---quad-m nodes per ray; `verify` takes the closed-form Gram route (`gram`),
-which has no node count.  The FD steps --fd-h and --fd-hc apply as given to
-the default equations; the fifth-order ids take 2nd-order stencils at 4x
-both steps.
+echoes the command and the settings it reads.  `prob` and `scan` solve the
+Nystrom system with --quad-m nodes per ray; `verify` takes the closed-form
+Gram route (`gram`), which has no node count.  The FD steps --fd-h and
+--fd-hc apply as given to the default equations; the fifth-order ids take
+2nd-order stencils at 4x both steps.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                 rep.passed = rep.relative <= cfg.tol
             reports.append(rep)
     payload = {
-        "config": cfg.to_dict(),
+        "config": _echo(cfg),
         "reports": [r.to_dict() for r in reports],
     }
     if cfg.mc:
@@ -206,6 +206,12 @@ COMMAND_FLAGS = {
     "verify": ("--n", "--c", "--xi", "--out", "--fd-h", "--fd-hc", "--tol",
                "--equations", "--mc", "--samples", "--seed"),
 }
+
+
+def _echo(cfg: RunConfig) -> dict:
+    """The command and the RunConfig fields of the flags it reads."""
+    dests = (_FLAGS[f].get("dest", f[2:].replace("-", "_")) for f in COMMAND_FLAGS[cfg.command])
+    return {"command": cfg.command, **{d: getattr(cfg, d) for d in dests}}
 
 
 @functools.lru_cache(maxsize=None)

@@ -188,6 +188,15 @@ def test_verify_reports_carry_no_node_count(capsys):
     assert set(json.loads(out)["reports"][0]["center"]) == {"n", "c", "xi1", "xi2"}
 
 
+def test_verify_echoes_the_settings_it_reads(capsys):
+    code, out = run_cli(capsys, "verify", "--equations", "toda00")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert set(config) == {"command", "n", "c", "xi", "out", "fd_h", "fd_hc", "tol",
+                           "equations", "mc", "samples", "seed"}
+    assert config["command"] == "verify" and config["equations"] == ["toda00"]
+
+
 def test_prob_above_one_is_a_fredholm_error():
     # ln det(I - K) = +770 with cond ~ 3e50 at this K_12-cancellation point
     with pytest.raises(FredholmError, match="> 0"):
