@@ -117,8 +117,8 @@ def test_tables_must_match_n():
 
 
 def _eager_m_and_cond(p, tables):
-    """M in the swapped order, and its condition estimate computed the way
-    solve() once computed it on every call: dgecon on scipy's lu_factor."""
+    """M in the swapped order, built from the ray tables, and its condition
+    estimate computed eagerly: dgecon on scipy's lu_factor of M."""
     n, c = p.n, p.c
     k_max = n + gram.tail_length(c)
     h1, h2 = (tables.get(x, k_max).h[:n] for x in (p.xi1, p.xi2))
