@@ -36,7 +36,7 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg as sla
@@ -49,6 +49,7 @@ __all__ = [
     "FredholmError",
     "FredholmSolution",
     "EndpointData",
+    "diag2",
     "solve",
     "resolvent_at",
     "endpoint_data",
@@ -57,6 +58,14 @@ __all__ = [
 SIGMA3 = np.diag([1.0, -1.0])
 THETA = np.ones((2, 2))
 I2 = np.eye(2)
+
+
+def diag2(a, b) -> np.ndarray:
+    """diag(a, b) at each point: arrays a, b of shape (...) give (..., 2, 2)."""
+    d = np.zeros(np.shape(a) + (2, 2))
+    d[..., 0, 0] = a
+    d[..., 1, 1] = b
+    return d
 
 
 class FredholmError(RuntimeError):
@@ -89,7 +98,8 @@ class FredholmSolution:
 
 @dataclass
 class EndpointData:
-    """2x2 endpoint matrices at (xi_1, xi_2)."""
+    """2x2 endpoint matrices at (xi_1, xi_2): (2, 2) arrays at one point, or
+    (..., 2, 2) stacks whose params hold (...) arrays of c, xi1 and xi2."""
 
     params: KernelParams
     r: np.ndarray
@@ -103,6 +113,10 @@ class EndpointData:
     w: np.ndarray
     U_hat: np.ndarray
     W_hat: np.ndarray
+
+    def take(self, i, params: KernelParams) -> "EndpointData":
+        """Point i of a stack, with that point's params."""
+        return EndpointData(params, *(getattr(self, f.name)[i] for f in fields(self)[1:]))
 
 
 def _ray_tables(nodes: np.ndarray, blocks: np.ndarray, pz: np.ndarray) -> list:

@@ -80,11 +80,11 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .fredholm import I2, SIGMA3, THETA, EndpointData, FredholmError
+from .fredholm import I2, SIGMA3, THETA, EndpointData, FredholmError, diag2
 from .kernel import KernelParams
 
 __all__ = ["TAIL_EPS", "tail_length", "RayTable", "RayTables", "GramSolution",
-           "solve", "endpoint_data"]
+           "ray_tables", "solve_batch", "solve", "endpoint_batch", "endpoint_data"]
 
 # The K_12 tail stops once c^t / (1 - c) drops below this; |phi_k| < 1.
 TAIL_EPS = 1e-18
@@ -129,36 +129,48 @@ def _coefficients(k_max: int) -> None:
         _SQRT_2K = np.sqrt(2.0 * np.arange(2 * k_max + 1))
 
 
-def ray_table(n: int, xi: float, k_max: int) -> RayTable:
-    """The tables at xi for a matrix size n; k_max >= n."""
+def ray_tables(n: int, xis: list, k_max: int) -> list:
+    """The tables at each endpoint of xis for a matrix size n; k_max >= n.
+
+    The two recurrences (phi_k and the small-side diagonal) run per endpoint
+    in Python floats, with math.exp and math.erfc: a numpy step across the
+    endpoints costs more than the scalar steps below about a dozen endpoints,
+    and np.exp is not math.exp bit for bit.  Everything after them is one
+    stack across the endpoints.
+    """
     _coefficients(k_max)
-    p0 = math.exp(-0.5 * xi * xi - _LOG_PI_4)
-    p1 = math.sqrt(2.0) * xi * p0
-    phi = [p0, p1]
-    for a, b in zip(_REC_A[1:k_max], _REC_B[1:k_max]):
-        p0, p1 = p1, a * xi * p1 - b * p0
-        phi.append(p1)
+    phi = np.empty((len(xis), k_max + 1))
+    small = np.empty((len(xis), n + 1))
+    for i, xi in enumerate(xis):
+        p0 = math.exp(-0.5 * xi * xi - _LOG_PI_4)
+        p1 = math.sqrt(2.0) * xi * p0
+        row = [p0, p1]
+        for a, b in zip(_REC_A[1:k_max], _REC_B[1:k_max]):
+            p0, p1 = p1, a * xi * p1 - b * p0
+            row.append(p1)
+        phi[i] = row
+        # small[k] = int_{-inf}^{-|xi|} phi_k^2; phi_k phi_{k+1} is odd
+        sign = 1.0 if xi <= 0.0 else -1.0
+        s = [0.5 * math.erfc(abs(xi))]
+        for k in range(n):
+            s.append(s[k] - sign * row[k] * row[k + 1] / math.sqrt(2.0 * (k + 1)))
+        small[i] = s
+    xi = np.array(xis, dtype=float)[:, None]
+    lower = xi <= 0.0
+    h_diag = np.where(lower, small, 1.0 - small)
+    g_diag = np.where(lower, 1.0 - small, small)
 
-    # small[k] = int_{-inf}^{-|xi|} phi_k^2; phi_k phi_{k+1} is odd
-    sign = 1.0 if xi <= 0.0 else -1.0
-    small = [0.5 * math.erfc(abs(xi))]
-    for k in range(n):
-        small.append(small[k] - sign * phi[k] * phi[k + 1] / math.sqrt(2.0 * (k + 1)))
-    small = np.array(small)
-    h_diag, g_diag = (small, 1.0 - small) if xi <= 0.0 else (1.0 - small, small)
-
-    phi = np.array(phi)
     dphi = -xi * phi
-    dphi[1:] += _SQRT_2K[1:k_max + 1] * phi[:-1]
+    dphi[:, 1:] += _SQRT_2K[1:k_max + 1] * phi[:, :-1]
     rows = np.arange(n + 1)
     den = 2.0 * (np.arange(k_max + 1)[None, :] - rows[:, None])
     den[rows, rows] = 1.0          # the Wronskian form holds off the diagonal only
-    h = (phi[None, :] * dphi[:n + 1, None] - phi[:n + 1, None] * dphi[None, :]) / den
-    h[rows, rows] = h_diag
-    v = np.empty((k_max + 1, 4))
-    v[:, 0], v[:, 1], v[:, 2], v[:, 3] = phi, dphi, -h[n], -h[n - 1]
-    v[n, 2], v[n - 1, 3] = g_diag[n], g_diag[n - 1]
-    return RayTable(v, h)
+    h = (phi[:, None, :] * dphi[:, :n + 1, None] - phi[:, :n + 1, None] * dphi[:, None, :]) / den
+    h[:, rows, rows] = h_diag
+    v = np.empty((len(xis), k_max + 1, 4))
+    v[..., 0], v[..., 1], v[..., 2], v[..., 3] = phi, dphi, -h[:, n], -h[:, n - 1]
+    v[:, n, 2], v[:, n - 1, 3] = g_diag[:, n], g_diag[:, n - 1]
+    return [RayTable(vi, hi) for vi, hi in zip(v, h)]
 
 
 class RayTables:
@@ -187,10 +199,16 @@ class RayTables:
                                     -(c ** (self.n - np.arange(self.n, dtype=float))))
         return pw
 
+    def build(self, xis, k_max: int) -> None:
+        """Build, in one ray_tables call, the tables of xis that are missing or shorter than k_max."""
+        todo = [xi for xi in dict.fromkeys(xis)
+                if (tab := self._tables.get(xi)) is None or tab.k_max < k_max]
+        if todo:
+            self._tables.update(zip(todo, ray_tables(self.n, todo, max(k_max, self.k_min))))
+
     def get(self, xi: float, k_max: int) -> RayTable:
-        tab = self._tables.get(xi)
-        if tab is None or tab.k_max < k_max:
-            tab = self._tables[xi] = ray_table(self.n, xi, max(k_max, self.k_min))
+        self.build((xi,), k_max)
+        tab = self._tables[xi]
         return tab if tab.k_max == k_max else tab.prefix(k_max)
 
 
@@ -225,26 +243,45 @@ class GramSolution:
         return _cond(self.mat, self.lu)
 
 
-def solve(p: KernelParams, tables: RayTables | None = None) -> GramSolution:
-    """Factor M at p; the ray tables come from (and go to) `tables` when given."""
-    n, c = p.n, p.c
-    if tables is None:
-        tables = RayTables(n)
-    elif tables.n != n:
-        raise ValueError(f"ray tables are for n={tables.n}, not n={n}")
-    tail, minus_c = tables.powers(c)
-    k_max = n + tail.size - 1
-    rays = (tables.get(p.xi1, k_max), tables.get(p.xi2, k_max))
-    h1, h2 = (r.h[:n] for r in rays)
-    # M with both block rows and block columns swapped (the same determinant)
-    mat = np.empty((2 * n, 2 * n))
-    mat[:n, :n] = h2[:, :n]
-    mat[:n, n:] = 0.0
-    lo = np.arange(n)
-    mat[lo, n + lo] = minus_c
-    mat[n:, :n] = (h1[:, n:] * tail) @ h2[:, n:].T
-    mat[n:, n:] = h1[:, :n]
+def solve_batch(ps: list, tables: RayTables) -> list:
+    """Factor M at each point of ps (one n, that of tables), in the order of ps.
 
+    The tables of every endpoint come from one ray_tables call, and M is one
+    stack per coupling value, whose T blocks are one stacked matmul.  Each M
+    then gets its own dgetrf, so a point's bits do not depend on the batch,
+    and the first point of ps that fails raises its FredholmError.
+    """
+    n = tables.n
+    for p in ps:
+        if p.n != n:
+            raise ValueError(f"ray tables are for n={n}, not n={p.n}")
+    groups: dict = {}
+    for i, p in enumerate(ps):
+        groups.setdefault(p.c, []).append(i)
+    tables.build([xi for p in ps for xi in (p.xi1, p.xi2)],
+                 max(n + tail_length(c) for c in groups))
+    mats, rays, tails = [None] * len(ps), [None] * len(ps), [None] * len(ps)
+    for c, idx in groups.items():
+        tail, minus_c = tables.powers(c)
+        k_max = n + tail.size - 1
+        ray = [(tables.get(ps[i].xi1, k_max), tables.get(ps[i].xi2, k_max)) for i in idx]
+        h1 = np.stack([r1.h[:n] for r1, _ in ray])
+        h2 = np.stack([r2.h[:n] for _, r2 in ray])
+        # M with both block rows and block columns swapped (the same determinant)
+        mat = np.empty((len(idx), 2 * n, 2 * n))
+        mat[:, :n, :n] = h2[:, :, :n]
+        mat[:, :n, n:] = 0.0
+        lo = np.arange(n)
+        mat[:, lo, n + lo] = minus_c
+        mat[:, n:, :n] = (h1[:, :, n:] * tail) @ h2[:, :, n:].transpose(0, 2, 1)
+        mat[:, n:, n:] = h1[:, :, :n]
+        for j, i in enumerate(idx):
+            mats[i], rays[i], tails[i] = mat[j], ray[j], tail
+    return [_factor(*args) for args in zip(ps, rays, tails, mats)]
+
+
+def _factor(p: KernelParams, rays: tuple, tail: np.ndarray, mat: np.ndarray) -> GramSolution:
+    """dgetrf of one M, with the FredholmError conditions of the Nystrom solve."""
     if not np.isfinite(mat).all():
         raise ValueError("array must not contain infs or NaNs")
     lu, piv, info = _getrf(mat)
@@ -254,7 +291,7 @@ def solve(p: KernelParams, tables: RayTables | None = None) -> GramSolution:
         raise FredholmError("M is numerically singular", cond=_cond(mat, lu))
     diag = lu.diagonal()
     # det M < 0 iff the row swaps and the negative pivots are odd in number
-    if (np.count_nonzero(piv != np.arange(2 * n)) + np.count_nonzero(diag < 0.0)) % 2:
+    if (np.count_nonzero(piv != np.arange(mat.shape[0])) + np.count_nonzero(diag < 0.0)) % 2:
         cond = _cond(mat, lu)
         raise FredholmError(f"det M has non-positive sign (cond ~ {cond:.3e})", cond=cond)
     log_prob = float(np.log(np.abs(diag)).sum())
@@ -266,52 +303,80 @@ def solve(p: KernelParams, tables: RayTables | None = None) -> GramSolution:
     return GramSolution(p, rays, tail, mat, lu, piv, log_prob)
 
 
-def _diag2(a: float, b: float) -> np.ndarray:
-    return np.array([[a, 0.0], [0.0, b]])
+def solve(p: KernelParams, tables: RayTables | None = None) -> GramSolution:
+    """Factor M at p, as a batch of one; the ray tables come from (and go to) `tables` when given."""
+    return solve_batch([p], RayTables(p.n) if tables is None else tables)[0]
 
 
-def endpoint_data(sol: GramSolution) -> EndpointData:
-    """The 2x2 endpoint matrices at sol's point, from 8 solves against its LU."""
-    p = sol.params
-    n = p.n
+def endpoint_batch(sols: list) -> EndpointData:
+    """The endpoint matrices at each solution's point (one n), stacked on a
+    leading axis in the order of sols: each field is (len(sols), 2, 2), and
+    params holds arrays of c, xi1 and xi2.
+
+    Each point gets its own dgetrs for 8 right-hand sides; the contractions
+    around it are stacked matmuls, one stack per coupling value (a tail
+    length), with the operand layouts of a single point.
+    """
+    n = sols[0].params.n
     s = (n / 2.0) ** 0.25
-    r1, r2 = sol.rays
-    e = sol.tail[:, None]
-    v1, v2 = r1.v, r2.v                # columns phi, phi', G[:, n], G[:, n-1]
-    b1hi = -e * v2[n:]                 # b_1[hi] of D b for b = e_2 (x) w; 0 for e_1
+    x = np.empty((len(sols), 2, 4, 8))
+    top = np.empty((len(sols), 2, 2, 4))    # rows n - 1 and n of v at xi_1 and xi_2
+    groups: dict = {}
+    for i, sol in enumerate(sols):
+        groups.setdefault(sol.params.c, []).append(i)
+    for idx in groups.values():
+        g = [sols[i] for i in idx]
+        e = g[0].tail[:, None]
+        v1 = np.stack([sol.rays[0].v for sol in g])     # columns phi, phi', G[:, n], G[:, n-1]
+        v2 = np.stack([sol.rays[1].v for sol in g])
+        b1hi = -e * v2[:, n:]             # b_1[hi] of D b for b = e_2 (x) w; 0 for e_1
 
-    # in the swapped order: block-2 equations and z_2[lo] first
-    rhs = np.zeros((2 * n, 8), order="F")
-    rhs[:n, 4:] = v2[:n]
-    rhs[n:, :4] = v1[:n]
-    rhs[n:, 4:] = -r1.h[:n, n:] @ b1hi
-    z, _ = _getrs(sol.lu, sol.piv, rhs, overwrite_b=True)
-    z2lo, z1lo = z[:n], z[n:]
-    z1hi = e * (r2.h[:n, n:].T @ z2lo)
-    z1hi[:, 4:] += b1hi
+        # in the swapped order: block-2 equations and z_2[lo] first; each
+        # point's right-hand side is Fortran-ordered, as dgetrs takes it
+        rhs = np.zeros((len(g), 8, 2 * n)).transpose(0, 2, 1)
+        rhs[:, :n, 4:] = v2[:, :n]
+        rhs[:, n:, :4] = v1[:, :n]
+        rhs[:, n:, 4:] = -np.stack([sol.rays[0].h[:n, n:] for sol in g]) @ b1hi
+        z = rhs
+        for j, sol in enumerate(g):
+            z[j] = _getrs(sol.lu, sol.piv, rhs[j], overwrite_b=True)[0]
+        z2lo, z1lo = z[:, :n], z[:, n:]
+        h2hi = np.stack([sol.rays[1].h[:n, n:] for sol in g])
+        z1hi = e * (h2hi.transpose(0, 2, 1) @ z2lo)
+        z1hi[:, :, 4:] += b1hi
 
-    # x[i, a, j, b]: vector a at xi_i contracted with z_i for w = vector b at xi_j
-    x = np.stack([v1[:n].T @ z1lo + v1[n:].T @ z1hi, v2[:n].T @ z2lo])
-    x = x.reshape(2, 4, 2, 4)
-    phi_n = _diag2(v1[n, 0], v2[n, 0])
-    phi_m = _diag2(v1[n - 1, 0], v2[n - 1, 0])
+        # x[., i, a, j, b]: vector a at xi_i contracted with z_i for w = vector b at xi_j
+        vt1, vt2 = v1.transpose(0, 2, 1), v2.transpose(0, 2, 1)
+        x[idx, 0] = vt1[:, :, :n] @ z1lo + vt1[:, :, n:] @ z1hi
+        x[idx, 1] = vt2[:, :, :n] @ z2lo
+        top[idx, 0], top[idx, 1] = v1[:, n - 1:n + 1], v2[:, n - 1:n + 1]
+    x = x.reshape(-1, 2, 4, 2, 4)
+    phi_n = diag2(top[:, 0, 1, 0], top[:, 1, 1, 0])
+    phi_m = diag2(top[:, 0, 0, 0], top[:, 1, 0, 0])
 
-    um = s * s * (_diag2(v1[n, 2], v2[n, 2]) + x[:, 2, :, 2])
-    wm = s * s * (_diag2(v1[n - 1, 3], v2[n - 1, 3]) + x[:, 3, :, 3])
-    sig = p.sigma
+    um = s * s * (diag2(top[:, 0, 1, 2], top[:, 1, 1, 2]) + x[:, :, 2, :, 2])
+    wm = s * s * (diag2(top[:, 0, 0, 3], top[:, 1, 0, 3]) + x[:, :, 3, :, 3])
+    p = KernelParams(n, *(np.array([getattr(sol.params, a) for sol in sols])
+                          for a in ("c", "xi1", "xi2")))
+    sig = p.sigma[:, None, None]
     sig_m = sig * SIGMA3
     w_hatted = (I2 - sig_m) @ wm @ (I2 + sig_m) / (1.0 - sig * sig)
     return EndpointData(
         params=p,
-        r=x[:, 0, :, 0],
-        r_x=x[:, 1, :, 0],
-        r_y=x[:, 0, :, 1],
-        q=s * (phi_n + x[:, 0, :, 2]),
-        p=s * (phi_m + x[:, 0, :, 3]),
-        qt=s * (phi_n + x[:, 2, :, 0]),
-        pt=s * (phi_m + x[:, 3, :, 0]),
+        r=x[:, :, 0, :, 0],
+        r_x=x[:, :, 1, :, 0],
+        r_y=x[:, :, 0, :, 1],
+        q=s * (phi_n + x[:, :, 0, :, 2]),
+        p=s * (phi_m + x[:, :, 0, :, 3]),
+        qt=s * (phi_n + x[:, :, 2, :, 0]),
+        pt=s * (phi_m + x[:, :, 3, :, 0]),
         u=um,
         w=wm,
         U_hat=math.sqrt(n / 2.0) * THETA - THETA @ um @ THETA,
         W_hat=math.sqrt(n / 2.0) * THETA + THETA @ w_hatted @ THETA,
     )
+
+
+def endpoint_data(sol: GramSolution) -> EndpointData:
+    """The 2x2 endpoint matrices at sol's point: point 0 of a batch of one."""
+    return endpoint_batch([sol]).take(0, sol.params)

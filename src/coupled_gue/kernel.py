@@ -54,7 +54,10 @@ _CONFLUENT_TOL = 1e-7
 
 @dataclass(frozen=True)
 class KernelParams:
-    """One probability evaluation: size n, coupling c, endpoints (xi1, xi2)."""
+    """One probability evaluation: size n, coupling c, endpoints (xi1, xi2).
+
+    c, xi1 and xi2 may also be arrays of one shape, a stack of evaluations at
+    one n (the params of a stacked `EndpointData`)."""
 
     n: int
     c: float
@@ -64,9 +67,9 @@ class KernelParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0.0 < self.c < 1.0:
+        if not np.logical_and(0.0 < self.c, self.c < 1.0).all():
             raise ValueError(f"c must be in (0, 1), got {self.c}")
-        if not (np.isfinite(self.xi1) and np.isfinite(self.xi2)):
+        if not (np.isfinite(self.xi1) & np.isfinite(self.xi2)).all():
             raise ValueError("endpoints must be finite")
 
     @property

@@ -11,6 +11,15 @@ the first-order derivative matrices of r from the closed system
 residual suite, through the final composite quantities that eliminate all
 auxiliary variables.
 
+Every function takes one point or a stack of them on a leading axis: the
+2x2 matrices of `EndpointData` as (..., 2, 2) arrays and its params as (...)
+arrays (`gram.endpoint_batch`), or (2, 2) matrices and floats at one point
+(the Nystrom `scan`).  Per-point scalars scale the matrices as (..., 1, 1),
+matrices multiply by `@` and entries read as [..., i, j], so a point's
+bits do not depend on the stack it is in.  A square is `square(x)`, C's
+pow(x, 2), which Python's float ** 2 calls; numpy's ** 2 on arrays rounds
+x * x instead, which differs in the last bit for about 1 in 1000 arguments.
+
 Notation notes.  sigma denotes both the scalar (1-c)/(1+c) and the matrix
 sigma*sigma_3; the code keeps them apart as `sig` and `sig_m`.  The sign
 convention X_3 = -2 D+ r_3 = -2 D- r_t is the one forced by r_t = D+ T,
@@ -19,12 +28,13 @@ r_3 = D- T; both routes are cross-checked at runtime.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fredholm import SIGMA3, THETA, I2, EndpointData
+from .fredholm import SIGMA3, THETA, I2, EndpointData, diag2
 from .kernel import KernelParams
 
 __all__ = [
@@ -40,6 +50,7 @@ __all__ = [
     "tau_ratio_consts",
     "final_composites",
     "theorem1_uw",
+    "square",
 ]
 
 # Relative disagreement between redundant routes that triggers a warning.
@@ -56,7 +67,10 @@ class MatrixQuartet:
 
 @dataclass
 class DerivedQuantities:
-    """Scalar observables at one parameter point."""
+    """Scalar observables at one parameter point, or (...) arrays over a stack.
+
+    warnings holds the failed cross-checks, a list of messages at one point
+    and one such list per point over a stack."""
 
     r_t: float
     r_3: float
@@ -122,11 +136,21 @@ SCALAR_FIELDS = [
 ]
 
 
+def square(x):
+    """x ** 2 elementwise, rounded as Python's float ** 2 rounds it (C pow)."""
+    return np.float_power(x, 2.0)
+
+
+def _m(x):
+    """A value per point, (...) -> (..., 1, 1), to scale that point's 2x2 matrices."""
+    return np.asarray(x)[..., None, None]
+
+
 def hatted_vars(e: EndpointData):
     """q^, p^, qt^, pt^ of the reduced matrix system."""
     sig = e.params.sigma
-    sig_m = sig * SIGMA3
-    denom = 1.0 - sig * sig
+    sig_m = _m(sig) * SIGMA3
+    denom = _m(1.0 - sig * sig)
     q_hat = e.q @ THETA
     qt_hat = THETA @ e.qt
     p_hat = (I2 - sig_m) @ e.p @ (I2 + sig_m) / denom @ THETA
@@ -136,22 +160,22 @@ def hatted_vars(e: EndpointData):
 
 def a_matrix(r: np.ndarray, sig: float) -> np.ndarray:
     """Anti-diagonal matrix A = [sigma_3, r - [s, r]/2] / (1 - sigma^2)."""
-    sig_m = sig * SIGMA3
+    sig_m = _m(sig) * SIGMA3
     inner = r - 0.5 * (sig_m @ r - r @ sig_m)
-    return (SIGMA3 @ inner - inner @ SIGMA3) / (1.0 - sig * sig)
+    return (SIGMA3 @ inner - inner @ SIGMA3) / _m(1.0 - sig * sig)
 
 
 def r_derivatives(e: EndpointData) -> tuple[np.ndarray, np.ndarray]:
     """(D+ r, D- r) from the first-order system; no finite differences."""
     p = e.params
     sig = p.sigma
-    sig_m = sig * SIGMA3
-    xi_m = np.diag([p.xi1, p.xi2])
+    sig_m = _m(sig) * SIGMA3
+    xi_m = diag2(p.xi1, p.xi2)
     t1 = e.p @ (I2 + sig_m) @ THETA @ e.qt
     t2 = e.q @ THETA @ (I2 - sig_m) @ e.pt
     sig_xi = sig_m @ xi_m
     dp_r = -t1 - t2 - (sig_xi @ e.r - e.r @ sig_xi)
-    dm_r = (t2 - t1 - (xi_m @ e.r - e.r @ xi_m)) / sig
+    dm_r = (t2 - t1 - (xi_m @ e.r - e.r @ xi_m)) / _m(sig)
     return dp_r, dm_r
 
 
@@ -165,19 +189,19 @@ def build_quartet(e: EndpointData, hats: tuple | None = None) -> MatrixQuartet:
     return MatrixQuartet(X_plus=qp + pq, X_minus=qp - pq, Phi=phi, G=g)
 
 
-def _trace(m: np.ndarray) -> float:
-    """float(np.trace(m)) for a 2x2 m, bit for bit: numpy's sum starts from
+def _trace(m: np.ndarray):
+    """np.trace of each 2x2 matrix, bit for bit: numpy's sum starts from
     +0.0, which turns a -0.0 + -0.0 diagonal into +0.0."""
-    return float(0.0 + m[0, 0] + m[1, 1])
+    return 0.0 + m[..., 0, 0] + m[..., 1, 1]
 
 
-def _tr3(m: np.ndarray) -> float:
-    return float(m[0, 0] - m[1, 1])
+def _tr3(m: np.ndarray):
+    return m[..., 0, 0] - m[..., 1, 1]
 
 
-def _anti_comm_trace(a: np.ndarray, b: np.ndarray) -> float:
+def _anti_comm_trace(a: np.ndarray, b: np.ndarray):
     """tr{A_a, B_a} for anti-diagonal 2x2 matrices."""
-    return 2.0 * (a[0, 1] * b[1, 0] + a[1, 0] * b[0, 1])
+    return 2.0 * (a[..., 0, 1] * b[..., 1, 0] + a[..., 1, 0] * b[..., 0, 1])
 
 
 def final_composites(
@@ -185,16 +209,17 @@ def final_composites(
 ) -> dict:
     """Final composite quantities; derivatives are passed in so the exact
     and finite-difference routes can share the assembly."""
+    sq = square
     f_t = f_hat + 2.0 * a2
     f_3 = f_hat + 2.0 * sigma2 * a2
-    delta = f_t * h_t**2 - f_3 * h_3**2
-    j_plus = 2.0 * sigma2 * (2.0 * dp_a2**2 + a2 * j)
-    j_minus = 2.0 * (2.0 * sigma2 * dm_a2**2 + a2 * j)
-    j_cross = dp_a2 * dm_a2 - 2.0 * x_3 * a2**2
+    delta = f_t * sq(h_t) - f_3 * sq(h_3)
+    j_plus = 2.0 * sigma2 * (2.0 * sq(dp_a2) + a2 * j)
+    j_minus = 2.0 * (2.0 * sigma2 * sq(dm_a2) + a2 * j)
+    j_cross = dp_a2 * dm_a2 - 2.0 * x_3 * sq(a2)
     j_a_cap = 4.0 * sigma2 * j_cross
     p_x = phi_t * phi_3 - h_t * h_3 - 2.0 * x_3 * x_t * f_hat - j_a_cap
-    p_t = phi_t**2 - h_t**2 - (2.0 * x_3**2 + j) * f_hat - j_plus
-    p_3 = phi_3**2 - h_3**2 - (2.0 * x_3**2 + j) * f_hat - j_minus
+    p_t = sq(phi_t) - sq(h_t) - (2.0 * sq(x_3) + j) * f_hat - j_plus
+    p_3 = sq(phi_3) - sq(h_3) - (2.0 * sq(x_3) + j) * f_hat - j_minus
     return {
         "F_t": f_t,
         "F_3": f_3,
@@ -206,14 +231,26 @@ def final_composites(
         "P_t": p_t,
         "P_3": p_3,
         "P_plus": f_t * p_t + f_3 * p_3,
-        "P_a": h_3**2 * p_t + h_t**2 * p_3 - 2.0 * h_t * h_3 * p_x,
+        "P_a": sq(h_3) * p_t + sq(h_t) * p_3 - 2.0 * h_t * h_3 * p_x,
         "S_t": a2 * phi_t - f_hat * dp_a2,
         "S_3": a2 * phi_3 - f_hat * dm_a2,
         "J_a": h_3 * phi_t - h_t * phi_3,
-        "P_hat_A": h_3**2 * j_plus + h_t**2 * j_minus + 8.0 * sigma2 * h_t * h_3 * j_cross,
-        "I_a": j * (2.0 * (dp_a2**2 + sigma2 * dm_a2**2) + a2 * j)
-        + 16.0 * sigma2 * a2 * x_3 * (dp_a2 * dm_a2 - x_3 * a2**2),
+        "P_hat_A": sq(h_3) * j_plus + sq(h_t) * j_minus + 8.0 * sigma2 * h_t * h_3 * j_cross,
+        "I_a": j * (2.0 * (sq(dp_a2) + sigma2 * sq(dm_a2)) + a2 * j)
+        + 16.0 * sigma2 * a2 * x_3 * (dp_a2 * dm_a2 - x_3 * sq(a2)),
     }
+
+
+def _route_warnings(checks) -> list:
+    """Per point, a message for each failed cross-check (name, value, other
+    route, bound): a list at one point, a list of them over a 1-D stack."""
+    shape = np.shape(checks[0][1])
+    msgs = [[] for _ in range(math.prod(shape))]
+    for name, a, b, bound in checks:
+        a, b = np.ravel(a), np.ravel(b)
+        for i in np.flatnonzero(np.abs(a - b) > np.ravel(bound)):
+            msgs[i].append(f"{name} routes disagree: {a[i]:.6e} vs {b[i]:.6e}")
+    return msgs[0] if shape == () else msgs
 
 
 def build_derived(e: EndpointData, q: MatrixQuartet, p: KernelParams) -> DerivedQuantities:
@@ -231,23 +268,17 @@ def build_derived(e: EndpointData, q: MatrixQuartet, p: KernelParams) -> Derived
     dm_r3 = _tr3(dm_r)
 
     a_mat = a_matrix(e.r, sig)
-    a_tilde = sig * a_mat
-    a2 = float(a_mat[0, 1] * a_mat[1, 0])
+    a_tilde = _m(sig) * a_mat
+    a2 = a_mat[..., 0, 1] * a_mat[..., 1, 0]
     dp_a = a_matrix(dp_r, sig)
     dm_a = a_matrix(dm_r, sig)
-    d_plus = float(dp_a[0, 1] * a_mat[1, 0] + a_mat[0, 1] * dp_a[1, 0])
-    d_minus = float(dm_a[0, 1] * a_mat[1, 0] + a_mat[0, 1] * dm_a[1, 0])
+    d_plus = dp_a[..., 0, 1] * a_mat[..., 1, 0] + a_mat[..., 0, 1] * dp_a[..., 1, 0]
+    d_minus = dm_a[..., 0, 1] * a_mat[..., 1, 0] + a_mat[..., 0, 1] * dm_a[..., 1, 0]
 
     x_t = -2.0 * dp_rt - 2.0 * sigma2 * a2
     x_3 = -2.0 * dp_r3
-    warnings = []
-    x_t_alt = -2.0 * dm_r3 - 2.0 * a2
-    x_3_alt = -2.0 * dm_rt
-    ref = max(abs(x_t), abs(x_3), 1e-30)
-    if abs(x_t - x_t_alt) > _XCHECK_TOL * ref:
-        warnings.append(f"X_t routes disagree: {x_t:.6e} vs {x_t_alt:.6e}")
-    if abs(x_3 - x_3_alt) > _XCHECK_TOL * ref:
-        warnings.append(f"X_3 routes disagree: {x_3:.6e} vs {x_3_alt:.6e}")
+    bound = _XCHECK_TOL * np.maximum(np.maximum(np.abs(x_t), np.abs(x_3)), 1e-30)
+    checks = [("X_t", x_t, -2.0 * dm_r3 - 2.0 * a2, bound), ("X_3", x_3, -2.0 * dm_rt, bound)]
 
     phi_t = _trace(q.Phi)
     phi_3 = _tr3(q.Phi)
@@ -259,18 +290,13 @@ def build_derived(e: EndpointData, q: MatrixQuartet, p: KernelParams) -> Derived
     h_3 = 4.0 * r_3 - 2.0 * xi_m * dm_r3 + xi_p * x_3
     g_t = h_t + a_plus
     g_3 = h_3 + a_minus
-    g_t_alt = _trace(q.G)
-    g_3_alt = _tr3(q.G)
-    gref = max(abs(g_t), abs(g_3), 1e-30)
-    if abs(g_t - g_t_alt) > _XCHECK_TOL * gref:
-        warnings.append(f"G_t routes disagree: {g_t:.6e} vs {g_t_alt:.6e}")
-    if abs(g_3 - g_3_alt) > _XCHECK_TOL * gref:
-        warnings.append(f"G_3 routes disagree: {g_3:.6e} vs {g_3_alt:.6e}")
+    bound = _XCHECK_TOL * np.maximum(np.maximum(np.abs(g_t), np.abs(g_3)), 1e-30)
+    checks += [("G_t", g_t, _trace(q.G), bound), ("G_3", g_3, _tr3(q.G), bound)]
 
     f_hat = x_t - 4.0 * p.n
-    j_val = x_t**2 - x_3**2 - 4.0 * sigma2 * a2**2
+    j_val = square(x_t) - square(x_3) - 4.0 * sigma2 * square(a2)
 
-    der = DerivedQuantities(
+    return DerivedQuantities(
         r_t=r_t,
         r_3=r_3,
         dp_r=dp_r,
@@ -301,26 +327,23 @@ def build_derived(e: EndpointData, q: MatrixQuartet, p: KernelParams) -> Derived
         sigma2=sigma2,
         DpX3=phi_3 + 2.0 * sigma2 * d_minus,
         DmX3=phi_t + 2.0 * d_plus,
-        Xp_a2=float(xp_a[0, 1] * xp_a[1, 0]),
-        Xm_a2=float(xm_a[0, 1] * xm_a[1, 0]),
-        C_a=float(xp_a[0, 1] * xm_a[1, 0] - xm_a[0, 1] * xp_a[1, 0]),
+        Xp_a2=xp_a[..., 0, 1] * xp_a[..., 1, 0],
+        Xm_a2=xm_a[..., 0, 1] * xm_a[..., 1, 0],
+        C_a=xp_a[..., 0, 1] * xm_a[..., 1, 0] - xm_a[..., 0, 1] * xp_a[..., 1, 0],
         tr_U=_trace(e.U_hat),
         tr_W=_trace(e.W_hat),
-        warnings=warnings,
+        warnings=_route_warnings(checks),
+        **final_composites(
+            phi_t=phi_t, phi_3=phi_3, dp_a2=d_plus, dm_a2=d_minus,
+            x_t=x_t, x_3=x_3, a2=a2, f_hat=f_hat, j=j_val, h_t=h_t, h_3=h_3,
+            sigma2=sigma2,
+        ),
     )
 
-    comps = final_composites(
-        phi_t=phi_t, phi_3=phi_3, dp_a2=d_plus, dm_a2=d_minus,
-        x_t=x_t, x_3=x_3, a2=a2, f_hat=f_hat, j=j_val, h_t=h_t, h_3=h_3,
-        sigma2=sigma2,
-    )
-    for k, v in comps.items():
-        setattr(der, k, float(v))
-    return der
 
-
+@functools.lru_cache(maxsize=4096)
 def log_tau_n(n: int, c: float) -> float:
-    """ln of the whole-domain two-matrix normalization integral."""
+    """ln of the whole-domain two-matrix normalization integral (cached per (n, c))."""
     val = 0.5 * n * math.log(math.pi) - 0.5 * n * (n - 1) * math.log(2.0)
     val += sum(math.lgamma(j + 1) for j in range(1, n))
     val -= 0.5 * n * n * math.log1p(-c * c)
@@ -346,18 +369,27 @@ def tau_ratios(e: EndpointData, p: KernelParams) -> tuple[float, float]:
     return up, dn
 
 
+def _uw_scales(n: int, c: float) -> tuple[float, float]:
+    """The factors of Tr U_hat in U and of Tr W_hat in W at one c."""
+    root = math.sqrt(2.0 * n)
+    up_c, dn_c = tau_ratio_consts(n, c)
+    return ((1.0 - c * c) ** (n + 0.5) * up_c / root,
+            (1.0 - c * c) ** (-(n - 0.5)) * dn_c / root)
+
+
 def theorem1_uw(e: EndpointData, p: KernelParams, hats: tuple | None = None) -> dict:
     """U, W of the Toda-side system and their exact first derivatives.
 
     U = U_n (1-c^2)^(n+1/2), W = W_n (1-c^2)^-(n-1/2); the derivative
     matrices come from D+- U_hat = qt^ (sigma_3) q^, D+- W_hat = -pt^ (sigma_3) p^;
-    hats = hatted_vars(e) when the caller has it.
+    hats = hatted_vars(e) when the caller has it.  The c-dependent factors
+    are Python floats, computed once per distinct c of the stack.
     """
-    n, c = p.n, p.c
-    root = math.sqrt(2.0 * n)
-    up_c, dn_c = tau_ratio_consts(n, c)
-    fu = (1.0 - c * c) ** (n + 0.5) * up_c / root
-    fw = (1.0 - c * c) ** (-(n - 0.5)) * dn_c / root
+    cs = np.ravel(p.c).tolist()
+    scales = dict.fromkeys(cs)
+    for c in scales:
+        scales[c] = _uw_scales(p.n, c)
+    fu, fw = np.array([scales[c] for c in cs]).T.reshape((2,) + np.shape(p.c))
     q_hat, p_hat, qt_hat, pt_hat = hats or hatted_vars(e)
     tr_u = _trace(e.U_hat)
     tr_w = _trace(e.W_hat)

@@ -14,6 +14,17 @@ Every point value comes from the closed-form Gram route (`gram`): a
 PointCache keeps one ray table per endpoint value and one 2n x 2n LU per
 stencil point, with no quadrature.
 
+Each stencil asks for all of its points at once.  A field takes arrays of
+(xi1, xi2, c), and _d_dir and _d_c call it once, on the arrays of their
+offsets; a nested stencil passes its arrays on, so the points of a stencil
+of stencils come as one array too.  PointCache looks up the points of a
+call and computes the missing ones as one batch: their ray tables, M and
+its LU (`gram.solve_batch`), then, where a field needs more than ln P, the
+endpoint matrices (`gram.endpoint_batch`) and the observables on the same
+leading point axis.  A derivative accumulates its terms in the order of the
+offsets, from 0, as sum() did on one float per point, so every residual has
+the bits of a point-by-point evaluation.
+
 Equations whose natural scale collapses at a center (empty-constraint
 limits xi -> inf, or the X_3 = 0 locus xi1 = xi2) are downgraded to
 status "degenerate" instead of producing meaningless ratios.
@@ -25,21 +36,26 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .kernel import KernelParams
-from .gram import RayTables, endpoint_data, solve
+from .gram import RayTables, endpoint_batch, solve_batch
 from .observables import (
+    DerivedQuantities,
     build_quartet,
     build_derived,
     hatted_vars,
     theorem1_uw,
     log_tau_n,
     final_composites,
+    square,
 )
 from .onematrix import painleve_iv_residual
 from .quadrature import DEFAULT_M
 
 __all__ = [
     "Stencil",
+    "StencilError",
     "ResidualReport",
     "PointCache",
     "EQUATION_IDS",
@@ -62,6 +78,11 @@ _FHAT_GUARD = 1e-10
 _DELTA_GUARD = 1e-12
 
 
+class StencilError(ValueError):
+    """A stencil that cannot be evaluated: a step that is not positive, or a
+    c-difference that leaves (0, 1) at the center."""
+
+
 @dataclass(frozen=True)
 class Stencil:
     """FD steps around a center: h_xi along the endpoints, h_c along c."""
@@ -71,11 +92,11 @@ class Stencil:
 
     def __post_init__(self):
         if self.h_xi <= 0 or self.h_c <= 0:
-            raise ValueError("stencil steps must be positive")
+            raise StencilError("stencil steps must be positive")
 
     def check_c(self, c: float) -> None:
         if not (0.0 < c - 2 * self.h_c and c + 2 * self.h_c < 1.0):
-            raise ValueError(f"c={c} too close to (0,1) boundary for h_c={self.h_c}")
+            raise StencilError(f"c={c} too close to (0,1) boundary for h_c={self.h_c}")
 
     def scaled(self, f: float) -> "Stencil":
         return Stencil(h_xi=f * self.h_xi, h_c=f * self.h_c)
@@ -112,46 +133,76 @@ class ResidualReport:
         }
 
 
+_UW = ("U", "W", "DpU", "DmU", "DpW", "DmW")
+
+
 class _Point:
-    """Lazy per-point data; heavy members computed once."""
+    """One stencil point: its Gram solution, and its row in the stacks of
+    observables of the batch it was computed in (PointCache fills both)."""
 
-    def __init__(self, params: KernelParams, tables: RayTables):
+    def __init__(self, cache: "PointCache", params: KernelParams):
+        self.cache = cache
         self.params = params
-        self.tables = tables
+        self._sol = None
+        self.obs = None     # (EndpointData, DerivedQuantities, uw dict) of a batch
+        self.i = 0          # this point's index in them
 
-    @cached_property
+    @property
     def sol(self):
-        return solve(self.params, self.tables)
+        if self._sol is None:
+            self.cache._solve([self])
+        return self._sol
 
-    @cached_property
+    def _observed(self) -> tuple:
+        if self.obs is None:
+            self.cache._observe([self])
+        return self.obs
+
+    @property
     def end(self):
-        return endpoint_data(self.sol)
+        return self._observed()[0].take(self.i, self.params)
 
     @cached_property
-    def hats(self):
-        return hatted_vars(self.end)
+    def derived(self) -> DerivedQuantities:
+        return DerivedQuantities(**{k: v[self.i] for k, v in vars(self._observed()[1]).items()})
 
-    @cached_property
-    def quartet(self):
-        return build_quartet(self.end, self.hats)
+    @property
+    def uw(self) -> dict:
+        return {k: v[self.i] for k, v in self._observed()[2].items()}
 
-    @cached_property
-    def derived(self):
-        return build_derived(self.end, self.quartet, self.params)
-
-    @cached_property
-    def uw(self):
-        return theorem1_uw(self.end, self.params, self.hats)
-
-    @cached_property
+    @property
     def T(self):
         return self.sol.log_prob + log_tau_n(self.params.n, self.params.c)
+
+
+class _Stack:
+    """PointCache fields at an array of points: reading a name computes the
+    points that lack it as one batch, and gives its values in the array's
+    shape (a numpy float for a single point)."""
+
+    def __init__(self, cache: "PointCache", points: list, shape: tuple):
+        self._cache, self._points, self._shape = cache, points, shape
+
+    def __getattr__(self, name: str):
+        pts = self._points
+        if name in ("T", "log_prob"):
+            self._cache._solve(pts)
+            vals = [p.T if name == "T" else p._sol.log_prob for p in pts]
+        else:
+            self._cache._observe(pts)
+            if name in _UW:
+                vals = [p.obs[2][name][p.i] for p in pts]
+            else:
+                vals = [getattr(p.obs[1], name)[p.i] for p in pts]
+        return np.array(vals).reshape(self._shape)[()]
 
 
 class PointCache:
     """Memoizes Gram solves per (xi1, xi2, c) at one n; shared by all residuals.
 
     The solves share one ray table per endpoint value (`gram.RayTables`).
+    Points are computed a batch at a time: the missing points of one field
+    call, or a single point read through point().
     """
 
     def __init__(self, n: int):
@@ -163,36 +214,59 @@ class PointCache:
         key = (xi1, xi2, c)
         p = self._points.get(key)
         if p is None:
-            p = _Point(KernelParams(self.n, c, xi1, xi2), self.tables)
-            self._points[key] = p
+            p = self._points[key] = _Point(self, KernelParams(self.n, c, xi1, xi2))
         return p
 
+    def at(self, x1, x2, c) -> _Stack:
+        """The points of the arrays x1, x2, c (floats or arrays of one shape)."""
+        keys = zip(*(np.ravel(v).tolist() for v in (x1, x2, c)))
+        return _Stack(self, [self.point(*key) for key in keys], np.shape(x1))
+
+    def _solve(self, pts: list) -> None:
+        todo = list({id(p): p for p in pts if p._sol is None}.values())
+        if todo:
+            for p, sol in zip(todo, solve_batch([p.params for p in todo], self.tables)):
+                p._sol = sol
+
+    def _observe(self, pts: list) -> None:
+        todo = list({id(p): p for p in pts if p.obs is None}.values())
+        if todo:
+            self._solve(todo)
+            e = endpoint_batch([p.sol for p in todo])
+            hats = hatted_vars(e)
+            obs = (e, build_derived(e, build_quartet(e, hats), e.params),
+                   theorem1_uw(e, e.params, hats))
+            for i, p in enumerate(todo):
+                p.obs, p.i = obs, i
+
     def f(self, name: str):
-        """Scalar field (xi1, xi2, c) -> value.
+        """Scalar field (xi1, xi2, c) -> value, on floats or on arrays of one shape.
 
         Names resolve against DerivedQuantities attributes, the theorem-1
         U/W dict, or the specials 'T' and 'log_prob'.
         """
-        if name == "T":
-            return lambda x1, x2, c: self.point(x1, x2, c).T
-        if name == "log_prob":
-            return lambda x1, x2, c: self.point(x1, x2, c).sol.log_prob
-        if name in ("U", "W", "DpU", "DmU", "DpW", "DmW"):
-            return lambda x1, x2, c: self.point(x1, x2, c).uw[name]
-        return lambda x1, x2, c: getattr(self.point(x1, x2, c).derived, name)
+        return lambda x1, x2, c: getattr(self.at(x1, x2, c), name)
+
+
+def _call(f, x1s, x2s, cs):
+    """f at the points (x1s[k], x2s[k], cs[k]) of every k, in one call; the
+    values at point k come along the leading axis.  Every entry is a float,
+    or every entry an array of one shape (the points of an outer stencil)."""
+    return f(np.array(x1s), np.array(x2s), np.array(cs))
 
 
 def _d_dir(f, x1, x2, c, direction, h, order=4):
     """Directional derivative along `direction` in the xi-plane."""
     offs, wts = _D1[order]
     dx1, dx2 = direction
-    return sum(
-        w * f(x1 + o * h * dx1, x2 + o * h * dx2, c) for o, w in zip(offs, wts)
-    ) / h
+    vals = _call(f, [x1 + o * h * dx1 for o in offs], [x2 + o * h * dx2 for o in offs],
+                 [c] * len(offs))
+    return sum(w * v for w, v in zip(wts, vals)) / h
 
 
 def _d_c(f, x1, x2, c, hc):
-    return (f(x1, x2, c + hc) - f(x1, x2, c - hc)) / (2.0 * hc)
+    up, down = _call(f, [x1, x1], [x2, x2], [c + hc, c - hc])
+    return (up - down) / (2.0 * hc)
 
 
 def _a0(x1, x2, c, d1, d2, dc, tilde=False):
@@ -222,7 +296,7 @@ def _mk_report(eq, cache, center, residual, terms, tol, status="ok", extras=None
         tolerance=tol,
         passed=passed,
         status=status,
-        extras=extras or {},
+        extras={k: float(v) for k, v in (extras or {}).items()},
     )
 
 
@@ -269,9 +343,9 @@ def _eval_cor_x(cache, center, st, tol=1e-6):
 
 def _a2t_exact(d, c, tilde=False):
     """A^2 T or At^2 T from exact second derivatives."""
-    sig = math.sqrt(d.sigma2)
+    sig = np.sqrt(d.sigma2)
     s = -1.0 if tilde else 1.0
-    return (1.0 + c) ** 2 / 4.0 * (
+    return square(1.0 + c) / 4.0 * (
         d.dp_rt + 2.0 * s * sig * d.dp_r3 + d.sigma2 * d.dm_r3
     )
 
@@ -289,8 +363,9 @@ def _eval_theorem1(cache, center, st, tol=1e-4):
         """A (sign +1) or At (sign -1) applied to the field U or W."""
         def fval(a, b, cc):
             s = (1.0 - cc) / (1.0 + cc)
-            u = cache.point(a, b, cc).uw
-            return (1.0 + cc) / 2.0 * (u["Dp" + which] + sign * s * u["Dm" + which])
+            u = cache.at(a, b, cc)
+            return (1.0 + cc) / 2.0 * (getattr(u, "Dp" + which)
+                                       + sign * s * getattr(u, "Dm" + which))
         return fval
 
     reports = _eval_toda00(cache, center, st, eq_id="thm1_00", tol=1e-6)
@@ -322,10 +397,10 @@ def _a0t_field(cache, hc, tilde=False):
     t_field = cache.f("T")
 
     def fval(x1, x2, c):
-        d = cache.point(x1, x2, c).derived
-        d1t = (d.r_t + d.r_3) / 2.0
-        d2t = (d.r_t - d.r_3) / 2.0
-        return _a0(x1, x2, c, d1t, d2t, _d_c(t_field, x1, x2, c, hc), tilde)
+        d = cache.at(x1, x2, c)
+        r_t, r_3 = d.r_t, d.r_3
+        return _a0(x1, x2, c, (r_t + r_3) / 2.0, (r_t - r_3) / 2.0,
+                   _d_c(t_field, x1, x2, c, hc), tilde)
 
     return fval
 
@@ -339,8 +414,8 @@ def _g_field(cache, st, tilde=False, order=4):
     sign = -1.0 if tilde else 1.0
 
     def fval(a, b, cc):
-        d = cache.point(a, b, cc).derived
-        s = math.sqrt(d.sigma2)
+        d = cache.at(a, b, cc)
+        s = np.sqrt(d.sigma2)
         a_t = (1.0 + cc) / 2.0 * (d.r_t + sign * s * d.r_3)
         dirv = (1.0, cc) if tilde else (cc, 1.0)
         return a_t - _d_dir(a0t, a, b, cc, dirv, st.h_xi, order) / (2.0 * cc)
@@ -352,8 +427,9 @@ def _f_field(cache):
     n = cache.n
 
     def fval(x1, x2, c):
-        d = cache.point(x1, x2, c).derived
-        return (d.dp_rt - d.sigma2 * d.dm_r3) / (4.0 * (1.0 - d.sigma2)) + n / 2.0
+        d = cache.at(x1, x2, c)
+        s2 = d.sigma2
+        return (d.dp_rt - s2 * d.dm_r3) / (4.0 * (1.0 - s2)) + n / 2.0
 
     return fval
 
@@ -386,7 +462,7 @@ def _eval_f4t(cache, center, st, tol=1e-4):
     r3_f = cache.f("r_3")
 
     def gp(a, b, cc):
-        d = cache.point(a, b, cc).derived
+        d = cache.at(a, b, cc)
         s2 = d.sigma2
         xp_, xm_ = a + b, a - b
         dcrt = _d_c(rt_f, a, b, cc, st.h_c)
@@ -395,7 +471,7 @@ def _eval_f4t(cache, center, st, tol=1e-4):
                 - 0.5 * xp_ * s2 * (d.dp_rt - d.dm_r3) / (1.0 - s2))
 
     def gm(a, b, cc):
-        d = cache.point(a, b, cc).derived
+        d = cache.at(a, b, cc)
         s2 = d.sigma2
         xp_, xm_ = a + b, a - b
         dcr3 = _d_c(r3_f, a, b, cc, st.h_c)
@@ -655,16 +731,16 @@ def _eval_higher(cache, center, st, tol=1e-2):
         g_f = _g_field(cache, st, tilde, order=2)
 
         def a2t(a, b, cc):
-            return _a2t_exact(cache.point(a, b, cc).derived, cc, tilde)
+            return _a2t_exact(cache.at(a, b, cc), cc, tilde)
 
         def af(a, b, cc):
             return _d_dir(ff, a, b, cc, a_dir(cc, tilde), h, 2)
 
         def g0(a, b, cc):
             """G0 = W A0 U - U A0 W, or its dual with At_0."""
-            pt = cache.point(a, b, cc)
-            return (pt.uw["W"] * a0_apply(u_f, a, b, cc, tilde)
-                    - pt.uw["U"] * a0_apply(w_f, a, b, cc, tilde))
+            u = cache.at(a, b, cc)
+            return (u.W * a0_apply(u_f, a, b, cc, tilde)
+                    - u.U * a0_apply(w_f, a, b, cc, tilde))
 
         def t_inner(a, b, cc):
             a2f_ = _d_dir(af, a, b, cc, a_dir(cc, tilde), h, 2)

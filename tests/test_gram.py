@@ -184,13 +184,13 @@ def test_probability_above_one_carries_cond(monkeypatch):
 def test_one_table_build_per_endpoint(monkeypatch, n, center, higher):
     assert gram.tail_length(0.402) > gram.tail_length(0.401)
     builds = []
-    build = gram.ray_table
+    build = gram.ray_tables
 
-    def counted(n_, xi, k_max):
-        builds.append(xi)
-        return build(n_, xi, k_max)
+    def counted(n_, xis, k_max):
+        builds.extend(xis)
+        return build(n_, xis, k_max)
 
-    monkeypatch.setattr(gram, "ray_table", counted)
+    monkeypatch.setattr(gram, "ray_tables", counted)
     cache = PointCache(n)
     evaluate(cache, center, include_higher=higher)
     endpoints = {xi for key in cache._points for xi in key[:2]}
