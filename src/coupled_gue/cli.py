@@ -6,7 +6,8 @@
 
 Reports are JSON, scans CSV by default; every emitted number carries its
 parameter row.  `verify` exits 0 iff every non-skipped check passes, so it
-can gate CI.
+can gate CI; a stencil that does not fit a center (a step that is not
+positive, or a c-difference that leaves (0, 1)) is a usage error, exit 2.
 
 Each command accepts only the flags it reads (COMMAND_FLAGS); any other flag
 is a usage error (exit 2).  Every default lives in RunConfig, and `verify`
@@ -31,7 +32,7 @@ from .kernel import KernelParams
 from . import gram
 from .fredholm import solve, endpoint_data
 from .observables import build_quartet, build_derived, SCALAR_FIELDS
-from .residuals import DEFAULT_STENCIL, PointCache, Stencil, evaluate
+from .residuals import DEFAULT_STENCIL, PointCache, Stencil, StencilError, evaluate
 from .montecarlo import estimate_joint
 from .quadrature import DEFAULT_M
 
@@ -145,16 +146,20 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    stencil = Stencil(h_xi=cfg.fd_h, h_c=cfg.fd_hc)
     reports = []
-    for c in cfg.c:
-        cache = PointCache(cfg.n)
-        center = (cfg.xi[0], cfg.xi[1], c)
-        for rep in evaluate(cache, center, stencil, ids=cfg.equations or None):
-            if cfg.tol is not None and rep.status == "ok":
-                rep.tolerance = cfg.tol
-                rep.passed = rep.relative <= cfg.tol
-            reports.append(rep)
+    try:
+        stencil = Stencil(h_xi=cfg.fd_h, h_c=cfg.fd_hc)
+        for c in cfg.c:
+            cache = PointCache(cfg.n)
+            center = (cfg.xi[0], cfg.xi[1], c)
+            reports.extend(evaluate(cache, center, stencil, ids=cfg.equations or None))
+    except StencilError as exc:
+        print(f"coupled-gue verify: error: {exc}", file=sys.stderr)
+        return 2
+    for rep in reports:
+        if cfg.tol is not None and rep.status == "ok":
+            rep.tolerance = cfg.tol
+            rep.passed = rep.relative <= cfg.tol
     payload = {
         "config": _echo(cfg),
         "reports": [r.to_dict() for r in reports],

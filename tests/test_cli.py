@@ -188,6 +188,20 @@ def test_verify_reports_carry_no_node_count(capsys):
     assert set(json.loads(out)["reports"][0]["center"]) == {"n", "c", "xi1", "xi2"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["--fd-h", "0"],                                # a step that is not positive
+    ["--c", "0.5", "--fd-hc", "0.3"],              # c - 2 h_c leaves (0, 1)
+    ["--c", "0.995", "--equations", "app_T1"],     # c + 2 (4 h_c) leaves (0, 1)
+], ids=["zero-step", "wide-c-step", "fifth-order-near-1"])
+def test_invalid_stencil_is_a_usage_error(argv, capsys):
+    code = main(["verify", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("coupled-gue verify: error: ")
+
+
 def test_verify_echoes_the_settings_it_reads(capsys):
     code, out = run_cli(capsys, "verify", "--equations", "toda00")
     assert code == 0

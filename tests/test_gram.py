@@ -1,5 +1,6 @@
 """The closed-form Gram route against the golden set, the Nystrom engine and 50-digit values."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -10,7 +11,9 @@ import pytest
 import scipy.linalg as sla
 
 from coupled_gue import KernelParams, gram
-from coupled_gue.fredholm import FredholmError
+from coupled_gue.fredholm import EndpointData, FredholmError
+from coupled_gue.observables import (
+    SCALAR_FIELDS, build_derived, build_quartet, hatted_vars, theorem1_uw)
 from coupled_gue.residuals import PointCache, evaluate
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_values.json").read_text())
@@ -108,6 +111,62 @@ def test_one_matrix_limit_is_exactly_c_independent():
     # far right ray 2: T vanishes and the pivots stay in the H blocks
     vals = {gram.solve(KernelParams(2, c, -0.5, 12.0)).log_prob for c in (0.3, 0.5, 0.501, 0.7)}
     assert len(vals) == 1
+
+
+def _mixed_batch(n):
+    """Points near the edge sqrt(2n) at three couplings (three tail lengths),
+    interleaved, with one ray far right of the edge."""
+    edge = math.sqrt(2.0 * n)
+    ps = [KernelParams(n, c, edge + d1, edge + d2)
+          for d1, d2 in ((-0.6, 0.4), (0.3, -0.2)) for c in (0.1, 0.5, 0.9)]
+    ps.insert(3, KernelParams(n, 0.5, edge - 0.3, edge + 12.0))
+    return ps
+
+
+BATCHES = {f"n{n}": _mixed_batch(n) for n in (2, 5, 10, 20)}
+BATCHES["k12"] = [KernelParams(50, 0.2, 9.0, 9.5), KernelParams(50, 0.5, 9.2, 9.6),
+                  KernelParams(50, 0.2, 9.5, 9.0)]
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BATCHES))
+def test_a_point_has_the_same_bits_alone_and_in_a_batch(name):
+    ps = BATCHES[name]
+    sols = gram.solve_batch(ps, gram.RayTables(ps[0].n))
+    e = gram.endpoint_batch(sols)
+    hats = hatted_vars(e)
+    der = build_derived(e, build_quartet(e, hats), e.params)
+    uw = theorem1_uw(e, e.params, hats)
+    for i, p in enumerate(ps):
+        sol = gram.solve(p)
+        e1 = gram.endpoint_data(sol)
+        hats1 = hatted_vars(e1)
+        der1 = build_derived(e1, build_quartet(e1, hats1), p)
+        uw1 = theorem1_uw(e1, p, hats1)
+        assert _bits(sols[i].log_prob) == _bits(sol.log_prob), p
+        for f in dataclasses.fields(EndpointData)[1:]:
+            assert _bits(getattr(e, f.name)[i]) == _bits(getattr(e1, f.name)), (p, f.name)
+        for field in SCALAR_FIELDS:
+            assert _bits(getattr(der, field)[i]) == _bits(getattr(der1, field)), (p, field)
+        for key, val in uw1.items():
+            assert _bits(uw[key][i]) == _bits(val), (p, key)
+
+
+def test_each_point_is_factored_once(monkeypatch):
+    factored = []
+    factor = gram._factor
+
+    def counted(p, *args):
+        factored.append((p.xi1, p.xi2, p.c))
+        return factor(p, *args)
+
+    monkeypatch.setattr(gram, "_factor", counted)
+    cache = PointCache(5)
+    evaluate(cache, (3.1, 2.5, 0.55), include_higher=True)
+    assert len(factored) == len(set(factored)) == len(cache._points)
 
 
 def test_tables_must_match_n():

@@ -1,0 +1,142 @@
+"""Layer timings of `verify`'s Gram route, per point and per batch of points.
+
+    python3 tools/layer_times.py
+
+`residuals.PointCache` computes the stencil points of one field call as a
+batch, through four layers:
+
+- `ray_tables`: `gram.ray_tables` on the batch's new endpoints;
+- `m_lu`: `gram.solve_batch` on tables built beforehand (M and its LU);
+- `endpoint_solves`: `gram.endpoint_batch`;
+- `observables`: `hatted_vars`, `build_quartet`, `build_derived` and
+  `theorem1_uw` on the stacked endpoint data.
+
+Each layer runs on a batch of 1 point and on a batch of 10 points, at
+n = 2, 5, 10 and 20, c = 0.5, with endpoints near the spectral edge
+sqrt(2n) and two new endpoints per point.  Writes BENCH_verify_layers.json
+at the repository root: the environment, and for each layer, n and batch
+size the median and minimum over repeats of the time per call and per
+point.  BLAS runs on one thread.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+from coupled_gue import KernelParams, gram  # noqa: E402
+from coupled_gue.observables import (  # noqa: E402
+    build_derived, build_quartet, hatted_vars, theorem1_uw)
+
+OUT = ROOT / "BENCH_verify_layers.json"
+SIZES = (2, 5, 10, 20)
+BATCHES = (1, 10)
+C = 0.5
+STEP = 5e-3          # the default endpoint step of the verify stencils
+REPEATS = 7
+REPEAT_SECONDS = 0.02
+
+
+def environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = platform.processor()
+    with contextlib.suppress(OSError), open("/proc/cpuinfo") as fh:
+        cpu = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), cpu)
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu": cpu,
+    }
+
+
+def points(n: int, batch: int) -> list:
+    """batch points along the diagonal near the edge, each with two new endpoints."""
+    edge = math.sqrt(2.0 * n)
+    return [KernelParams(n, C, edge - 0.3 + k * STEP, edge + 0.2 - k * STEP) for k in range(batch)]
+
+
+def timed(fn) -> dict:
+    """Median and minimum over REPEATS of the seconds per call of fn."""
+    number, start = 0, time.perf_counter()
+    while time.perf_counter() - start < REPEAT_SECONDS / 4 or number == 0:
+        fn()
+        number += 1
+    per_call = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(number):
+            fn()
+        per_call.append((time.perf_counter() - start) / number)
+    return {"median": statistics.median(per_call), "min": min(per_call)}
+
+
+def layers(n: int, batch: int) -> dict:
+    ps = points(n, batch)
+    k_max = n + gram.tail_length(C)
+    xis = [xi for p in ps for xi in (p.xi1, p.xi2)]
+    tables = gram.RayTables(n)
+    sols = gram.solve_batch(ps, tables)
+    e = gram.endpoint_batch(sols)
+
+    def observables():
+        hats = hatted_vars(e)
+        build_derived(e, build_quartet(e, hats), e.params)
+        theorem1_uw(e, e.params, hats)
+
+    return {
+        "ray_tables": timed(lambda: gram.ray_tables(n, xis, k_max)),
+        "m_lu": timed(lambda: gram.solve_batch(ps, tables)),
+        "endpoint_solves": timed(lambda: gram.endpoint_batch(sols)),
+        "observables": timed(observables),
+    }
+
+
+def main() -> int:
+    rows: dict = {}
+    for n in SIZES:
+        for batch in BATCHES:
+            for layer, t in layers(n, batch).items():
+                rows.setdefault(layer, []).append({
+                    "n": n,
+                    "batch": batch,
+                    "median_us": round(1e6 * t["median"], 2),
+                    "min_us": round(1e6 * t["min"], 2),
+                    "median_us_per_point": round(1e6 * t["median"] / batch, 2),
+                    "min_us_per_point": round(1e6 * t["min"] / batch, 2),
+                })
+    result = {
+        "script": "tools/layer_times.py",
+        "environment": environment(),
+        "setup": {"c": C, "endpoint_step": STEP, "repeats": REPEATS, "sizes": list(SIZES),
+                  "batches": list(BATCHES)},
+        "layers": rows,
+    }
+    OUT.write_text(json.dumps(result, indent=2) + "\n")
+    for layer, entries in rows.items():
+        print(layer, " ".join(f"n={r['n']}/b={r['batch']}:{r['median_us_per_point']}us"
+                              for r in entries))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
