@@ -65,10 +65,18 @@ four endpoint vectors as one (k_max + 1, 4) block, the right-hand sides of
 endpoint_data.  Told the widest coupling a stencil reaches (RayTables.reach),
 RayTables builds each endpoint's table once.
 
-solve() calls LAPACK directly: dgetrf on M (after the finiteness check that
-scipy's lu_factor makes), dgetrs for the 8 right-hand sides.  The condition
-estimate (dgecon) is computed only when GramSolution.cond is read, and on
-the paths that raise FredholmError.
+Points come in batches at one n, on a leading point axis (the stencil points
+of `residuals`).  ray_tables() builds the tables of a batch's new endpoints
+in one call, stacked past the per-endpoint recurrences.  solve_batch() forms
+the M of a batch as one stack per coupling value (one tail length), with the
+T blocks as one stacked matmul, and endpoint_batch() contracts around the
+solves with stacked matmuls; both then call LAPACK once per point: dgetrf on
+M (after the finiteness check that scipy's lu_factor makes), and dgetrs for
+its 8 right-hand sides.  So a point has the same bits alone and in any
+batch, and the first failing point of a batch raises its FredholmError.
+solve() and endpoint_data() are batches of one.  The condition estimate
+(dgecon) is computed only when GramSolution.cond is read, and on the paths
+that raise FredholmError.
 """
 
 from __future__ import annotations
@@ -315,7 +323,7 @@ def endpoint_batch(sols: list) -> EndpointData:
 
     Each point gets its own dgetrs for 8 right-hand sides; the contractions
     around it are stacked matmuls, one stack per coupling value (a tail
-    length), with the operand layouts of a single point.
+    length).
     """
     n = sols[0].params.n
     s = (n / 2.0) ** 0.25
