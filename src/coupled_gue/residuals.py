@@ -217,10 +217,20 @@ class PointCache:
             p = self._points[key] = _Point(self, KernelParams(self.n, c, xi1, xi2))
         return p
 
+    def _lookup(self, x1, x2, c) -> list:
+        return [self.point(*key) for key in zip(*(np.ravel(v).tolist() for v in (x1, x2, c)))]
+
     def at(self, x1, x2, c) -> _Stack:
         """The points of the arrays x1, x2, c (floats or arrays of one shape)."""
-        keys = zip(*(np.ravel(v).tolist() for v in (x1, x2, c)))
-        return _Stack(self, [self.point(*key) for key in keys], np.shape(x1))
+        return _Stack(self, self._lookup(x1, x2, c), np.shape(x1))
+
+    def prefetch(self, points: tuple, solved: tuple = ([], [], [])) -> None:
+        """Compute, as one batch, the observables at `points` and ln P at
+        `solved` (each a tuple of lists x1s, x2s, cs), so that several
+        stencils that read them share the batch."""
+        pts = self._lookup(*points)
+        self._solve(pts + self._lookup(*solved))
+        self._observe(pts)
 
     def _solve(self, pts: list) -> None:
         todo = list({id(p): p for p in pts if p._sol is None}.values())
@@ -255,17 +265,31 @@ def _call(f, x1s, x2s, cs):
     return f(np.array(x1s), np.array(x2s), np.array(cs))
 
 
+def _stencil(x1, x2, c, direction, h, order=4):
+    """The points of a directional stencil, as lists of x1, x2 and c."""
+    offs = _D1[order][0]
+    dx1, dx2 = direction
+    return [x1 + o * h * dx1 for o in offs], [x2 + o * h * dx2 for o in offs], [c] * len(offs)
+
+
+def _c_pair(x1, x2, c, hc):
+    """The points of a central c-difference, as lists of x1, x2 and c."""
+    return [x1, x1], [x2, x2], [c + hc, c - hc]
+
+
+def _join(*stencils):
+    """The points of several stencils, as lists of x1, x2 and c."""
+    return tuple(sum((s[k] for s in stencils), []) for k in range(3))
+
+
 def _d_dir(f, x1, x2, c, direction, h, order=4):
     """Directional derivative along `direction` in the xi-plane."""
-    offs, wts = _D1[order]
-    dx1, dx2 = direction
-    vals = _call(f, [x1 + o * h * dx1 for o in offs], [x2 + o * h * dx2 for o in offs],
-                 [c] * len(offs))
-    return sum(w * v for w, v in zip(wts, vals)) / h
+    vals = _call(f, *_stencil(x1, x2, c, direction, h, order))
+    return sum(w * v for w, v in zip(_D1[order][1], vals)) / h
 
 
 def _d_c(f, x1, x2, c, hc):
-    up, down = _call(f, [x1, x1], [x2, x2], [c + hc, c - hc])
+    up, down = _call(f, *_c_pair(x1, x2, c, hc))
     return (up - down) / (2.0 * hc)
 
 
@@ -834,6 +858,35 @@ def _reach(cache, c, st, ids):
         cache.tables.reach(top)
 
 
+def _prefetch(cache, center, st, groups):
+    """Compute, as one batch, the points that the stencils of the default
+    groups read: the center; the endpoint stencils along (1, +-1), (1, c)
+    and (c, 1); the c-difference at the center; the A_0 T stencils nested in
+    avm, with the c-differences of T around them; and the (1, -1) stencils
+    nested in f4t.  The stencils still read their points through the cache,
+    so a point left out here costs a batch, not a value."""
+    x1, x2, c = center
+    h = st.h_xi
+    observed, solved = [([x1], [x2], [c])], []
+    if groups & {_eval_corollary, _eval_final_four, _eval_appendix, _eval_f4t}:
+        observed += [_stencil(x1, x2, c, d, h) for d in ((1, 1), (1, -1))]
+    if groups & {_eval_theorem1, _eval_avm}:
+        observed += [_stencil(x1, x2, c, d, h) for d in ((1.0, c), (c, 1.0))]
+    if groups & {_eval_theorem1, _eval_ccom, _eval_f4t, _eval_avm}:
+        st.check_c(c)
+    if groups & {_eval_theorem1, _eval_ccom, _eval_f4t}:
+        observed.append(_c_pair(x1, x2, c, st.h_c))
+    if _eval_avm in groups:
+        inner = [_stencil(a, b, c, d, h) for d in ((1.0, c), (c, 1.0))
+                 for a, b in zip(*_stencil(x1, x2, c, d, h)[:2])]
+        observed += inner
+        solved += [_c_pair(a, b, c, st.h_c) for a, b in zip(*_join(*inner)[:2])]
+    if _eval_f4t in groups:
+        observed += [_stencil(a, b, c, (1, -1), h)
+                     for a, b in zip(*_stencil(x1, x2, c, (1, 1), h)[:2])]
+    cache.prefetch(_join(*observed), _join(*solved))
+
+
 def evaluate(cache, center, stencil=None, ids=None, include_higher=False):
     """Evaluate residual reports for the requested equation ids."""
     st = stencil or DEFAULT_STENCIL
@@ -843,14 +896,11 @@ def evaluate(cache, center, stencil=None, ids=None, include_higher=False):
     if unknown:
         raise ValueError(f"unknown equation ids: {unknown}")
     _reach(cache, center[2], st, ids)
+    groups = list(dict.fromkeys(_GROUPS[eq][0] for eq in ids))
+    _prefetch(cache, center, st, set(groups))
     wanted = set(ids)
-    seen_groups = []
     reports = []
-    for eq in ids:
-        fn = _GROUPS[eq][0]
-        if fn in seen_groups:
-            continue
-        seen_groups.append(fn)
+    for fn in groups:
         reports.extend(r for r in fn(cache, center, st) if r.equation in wanted)
     order = {eq: k for k, eq in enumerate(ids)}
     reports.sort(key=lambda r: order[r.equation])
