@@ -147,15 +147,17 @@ def ray_tables(n: int, xis: list, k_max: int) -> list:
     stack across the endpoints.
     """
     _coefficients(k_max)
+    coef = list(zip(_REC_A[1:k_max], _REC_B[1:k_max]))
     phi = np.empty((len(xis), k_max + 1))
     small = np.empty((len(xis), n + 1))
     for i, xi in enumerate(xis):
         p0 = math.exp(-0.5 * xi * xi - _LOG_PI_4)
         p1 = math.sqrt(2.0) * xi * p0
         row = [p0, p1]
-        for a, b in zip(_REC_A[1:k_max], _REC_B[1:k_max]):
+        append = row.append
+        for a, b in coef:
             p0, p1 = p1, a * xi * p1 - b * p0
-            row.append(p1)
+            append(p1)
         phi[i] = row
         # small[k] = int_{-inf}^{-|xi|} phi_k^2; phi_k phi_{k+1} is odd
         sign = 1.0 if xi <= 0.0 else -1.0
@@ -215,8 +217,10 @@ class RayTables:
             self._tables.update(zip(todo, ray_tables(self.n, todo, max(k_max, self.k_min))))
 
     def get(self, xi: float, k_max: int) -> RayTable:
-        self.build((xi,), k_max)
-        tab = self._tables[xi]
+        tab = self._tables.get(xi)
+        if tab is None or tab.k_max < k_max:
+            self.build((xi,), k_max)
+            tab = self._tables[xi]
         return tab if tab.k_max == k_max else tab.prefix(k_max)
 
 
@@ -256,8 +260,10 @@ def solve_batch(ps: list, tables: RayTables) -> list:
 
     The tables of every endpoint come from one ray_tables call, and M is one
     stack per coupling value, whose T blocks are one stacked matmul.  Each M
-    then gets its own dgetrf, so a point's bits do not depend on the batch,
-    and the first point of ps that fails raises its FredholmError.
+    then gets its own dgetrf, so a point's bits do not depend on the batch;
+    the signs and ln |det| of the LUs are read as one stack.  A non-finite M
+    raises ValueError, and otherwise the first point of ps that fails raises
+    its FredholmError.
     """
     n = tables.n
     for p in ps:
@@ -268,7 +274,7 @@ def solve_batch(ps: list, tables: RayTables) -> list:
         groups.setdefault(p.c, []).append(i)
     tables.build([xi for p in ps for xi in (p.xi1, p.xi2)],
                  max(n + tail_length(c) for c in groups))
-    mats, rays, tails = [None] * len(ps), [None] * len(ps), [None] * len(ps)
+    mats, rays, tails, finite = ([None] * len(ps) for _ in range(4))
     for c, idx in groups.items():
         tail, minus_c = tables.powers(c)
         k_max = n + tail.size - 1
@@ -283,32 +289,37 @@ def solve_batch(ps: list, tables: RayTables) -> list:
         mat[:, lo, n + lo] = minus_c
         mat[:, n:, :n] = (h1[:, :, n:] * tail) @ h2[:, :, n:].transpose(0, 2, 1)
         mat[:, n:, n:] = h1[:, :, :n]
+        ok = np.isfinite(mat).all(axis=(1, 2))
         for j, i in enumerate(idx):
-            mats[i], rays[i], tails[i] = mat[j], ray[j], tail
-    return [_factor(*args) for args in zip(ps, rays, tails, mats)]
+            mats[i], rays[i], tails[i], finite[i] = mat[j], ray[j], tail, ok[j]
 
-
-def _factor(p: KernelParams, rays: tuple, tail: np.ndarray, mat: np.ndarray) -> GramSolution:
-    """dgetrf of one M, with the FredholmError conditions of the Nystrom solve."""
-    if not np.isfinite(mat).all():
+    # the checks of scipy's lu_factor, then one dgetrf per M
+    if not all(finite):
         raise ValueError("array must not contain infs or NaNs")
-    lu, piv, info = _getrf(mat)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dgetrf")
-    if info > 0:                      # a pivot is exactly zero
-        raise FredholmError("M is numerically singular", cond=_cond(mat, lu))
-    diag = lu.diagonal()
+    lus = [_getrf(mat) for mat in mats]
+    diag = np.array([lu.diagonal() for lu, _, _ in lus])
+    swaps = np.count_nonzero(np.array([piv for _, piv, _ in lus]) != np.arange(2 * n), axis=1)
     # det M < 0 iff the row swaps and the negative pivots are odd in number
-    if (np.count_nonzero(piv != np.arange(mat.shape[0])) + np.count_nonzero(diag < 0.0)) % 2:
-        cond = _cond(mat, lu)
-        raise FredholmError(f"det M has non-positive sign (cond ~ {cond:.3e})", cond=cond)
-    log_prob = float(np.log(np.abs(diag)).sum())
-    if log_prob > 0.0:
-        cond = _cond(mat, lu)
-        raise FredholmError(
-            f"ln det M = {log_prob:.6g} > 0, a probability above 1 (cond ~ {cond:.3e})",
-            cond=cond)
-    return GramSolution(p, rays, tail, mat, lu, piv, log_prob)
+    odd = ((swaps + np.count_nonzero(diag < 0.0, axis=1)) % 2).tolist()
+    with np.errstate(divide="ignore"):          # a zero pivot raises below
+        log_probs = np.log(np.abs(diag)).sum(axis=1).tolist()
+    sols = []
+    for p, ray, tail, mat, (lu, piv, info), sign, log_prob in zip(
+            ps, rays, tails, mats, lus, odd, log_probs):
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgetrf")
+        if info > 0:                      # a pivot is exactly zero
+            raise FredholmError("M is numerically singular", cond=_cond(mat, lu))
+        if sign:
+            cond = _cond(mat, lu)
+            raise FredholmError(f"det M has non-positive sign (cond ~ {cond:.3e})", cond=cond)
+        if log_prob > 0.0:
+            cond = _cond(mat, lu)
+            raise FredholmError(
+                f"ln det M = {log_prob:.6g} > 0, a probability above 1 (cond ~ {cond:.3e})",
+                cond=cond)
+        sols.append(GramSolution(p, ray, tail, mat, lu, piv, log_prob))
+    return sols
 
 
 def solve(p: KernelParams, tables: RayTables | None = None) -> GramSolution:

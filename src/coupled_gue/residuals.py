@@ -218,7 +218,8 @@ class PointCache:
         return p
 
     def _lookup(self, x1, x2, c) -> list:
-        return [self.point(*key) for key in zip(*(np.ravel(v).tolist() for v in (x1, x2, c)))]
+        keys = zip(*(np.ravel(v).tolist() for v in (x1, x2, c)))
+        return [self._points.get(key) or self.point(*key) for key in keys]
 
     def at(self, x1, x2, c) -> _Stack:
         """The points of the arrays x1, x2, c (floats or arrays of one shape)."""

@@ -157,13 +157,13 @@ def test_a_point_has_the_same_bits_alone_and_in_a_batch(name):
 
 def test_each_point_is_factored_once(monkeypatch):
     factored = []
-    factor = gram._factor
+    getrf = gram._getrf
 
-    def counted(p, *args):
-        factored.append((p.xi1, p.xi2, p.c))
-        return factor(p, *args)
+    def counted(mat):
+        factored.append(mat.tobytes())
+        return getrf(mat)
 
-    monkeypatch.setattr(gram, "_factor", counted)
+    monkeypatch.setattr(gram, "_getrf", counted)
     cache = PointCache(5)
     evaluate(cache, (3.1, 2.5, 0.55), include_higher=True)
     assert len(factored) == len(set(factored)) == len(cache._points)
