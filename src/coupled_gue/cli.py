@@ -7,7 +7,8 @@
 Reports are JSON, scans CSV by default; every emitted number carries its
 parameter row.  `verify` exits 0 iff every non-skipped check passes, so it
 can gate CI; a stencil that does not fit a center (a step that is not
-positive, or a c-difference that leaves (0, 1)) is a usage error, exit 2.
+positive and finite, or a c-difference that leaves (0, 1)) is a usage
+error, exit 2.
 
 Each command accepts only the flags it reads (COMMAND_FLAGS); any other flag
 is a usage error (exit 2).  Every default lives in RunConfig, and `verify`

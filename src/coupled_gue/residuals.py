@@ -21,9 +21,12 @@ of stencils come as one array too.  PointCache looks up the points of a
 call and computes the missing ones as one batch: their ray tables, M and
 its LU (`gram.solve_batch`), then, where a field needs more than ln P, the
 endpoint matrices (`gram.endpoint_batch`) and the observables on the same
-leading point axis.  A derivative accumulates its terms in the order of the
-offsets, from 0, as sum() did on one float per point, so every residual has
-the bits of a point-by-point evaluation.
+leading point axis.  Before the groups run, evaluate() computes the points
+that their stencils read as one batch (_prefetch), so a center of the
+default ids is one batch; the stencils then read the cache.  A derivative
+accumulates its terms in the order of the offsets, from 0, as sum() did on
+one float per point, and a point has the same bits in any batch, so every
+residual has the bits of a point-by-point evaluation.
 
 Equations whose natural scale collapses at a center (empty-constraint
 limits xi -> inf, or the X_3 = 0 locus xi1 = xi2) are downgraded to
@@ -79,8 +82,8 @@ _DELTA_GUARD = 1e-12
 
 
 class StencilError(ValueError):
-    """A stencil that cannot be evaluated: a step that is not positive, or a
-    c-difference that leaves (0, 1) at the center."""
+    """A stencil that cannot be evaluated: a step that is not positive and
+    finite, or a c-difference that leaves (0, 1) at the center."""
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,8 @@ class Stencil:
     h_c: float = 1e-3
 
     def __post_init__(self):
-        if self.h_xi <= 0 or self.h_c <= 0:
-            raise StencilError("stencil steps must be positive")
+        if not (0.0 < self.h_xi < math.inf and 0.0 < self.h_c < math.inf):
+            raise StencilError("stencil steps must be positive and finite")
 
     def check_c(self, c: float) -> None:
         if not (0.0 < c - 2 * self.h_c and c + 2 * self.h_c < 1.0):

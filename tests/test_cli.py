@@ -190,9 +190,10 @@ def test_verify_reports_carry_no_node_count(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--fd-h", "0"],                                # a step that is not positive
+    ["--fd-h", "nan"],                              # nor one that is not finite
     ["--c", "0.5", "--fd-hc", "0.3"],              # c - 2 h_c leaves (0, 1)
     ["--c", "0.995", "--equations", "app_T1"],     # c + 2 (4 h_c) leaves (0, 1)
-], ids=["zero-step", "wide-c-step", "fifth-order-near-1"])
+], ids=["zero-step", "nan-step", "wide-c-step", "fifth-order-near-1"])
 def test_invalid_stencil_is_a_usage_error(argv, capsys):
     code = main(["verify", *argv])
     out, err = capsys.readouterr()
