@@ -137,8 +137,11 @@ SCALAR_FIELDS = [
 
 
 def square(x):
-    """x ** 2 elementwise, rounded as Python's float ** 2 rounds it (C pow)."""
-    return np.float_power(x, 2.0)
+    """x ** 2 elementwise, rounded as Python's float ** 2 rounds it (C pow).
+
+    A float (numpy's float64 is one) takes ** itself; on an array numpy's
+    ** 2 would round x * x, so arrays take float_power."""
+    return x ** 2 if isinstance(x, float) else np.float_power(x, 2.0)
 
 
 def _m(x):
@@ -246,10 +249,12 @@ def _route_warnings(checks) -> list:
     route, bound): a list at one point, a list of them over a 1-D stack."""
     shape = np.shape(checks[0][1])
     msgs = [[] for _ in range(math.prod(shape))]
-    for name, a, b, bound in checks:
-        a, b = np.ravel(a), np.ravel(b)
-        for i in np.flatnonzero(np.abs(a - b) > np.ravel(bound)):
-            msgs[i].append(f"{name} routes disagree: {a[i]:.6e} vs {b[i]:.6e}")
+    failed = [abs(a - b) > bound for _, a, b, bound in checks]
+    if np.logical_or.reduce(failed, axis=None):
+        for (name, a, b, _), bad in zip(checks, failed):
+            a, b = np.ravel(a), np.ravel(b)
+            for i in np.flatnonzero(bad):
+                msgs[i].append(f"{name} routes disagree: {a[i]:.6e} vs {b[i]:.6e}")
     return msgs[0] if shape == () else msgs
 
 

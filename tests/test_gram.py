@@ -155,6 +155,20 @@ def test_a_point_has_the_same_bits_alone_and_in_a_batch(name):
             assert _bits(uw[key][i]) == _bits(val), (p, key)
 
 
+def test_route_warnings_are_per_point():
+    ps = BATCHES["n5"][:3]
+    e = gram.endpoint_batch(gram.solve_batch(ps, gram.RayTables(5)))
+    q = build_quartet(e)
+    q.G = q.G.copy()
+    q.G[1] += 1.0                           # only point 1's trace of G disagrees
+    d = build_derived(e, q, e.params)
+    assert [len(w) for w in d.warnings] == [0, 1, 0]
+    assert d.warnings[1][0].startswith("G_t routes disagree")
+    e1 = e.take(1, ps[1])
+    alone = build_derived(e1, dataclasses.replace(build_quartet(e1), G=q.G[1]), ps[1])
+    assert alone.warnings == d.warnings[1]
+
+
 def test_each_point_is_factored_once(monkeypatch):
     factored = []
     getrf = gram._getrf
