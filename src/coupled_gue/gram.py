@@ -140,32 +140,27 @@ def _coefficients(k_max: int) -> None:
 def ray_tables(n: int, xis: list, k_max: int) -> list:
     """The tables at each endpoint of xis for a matrix size n; k_max >= n.
 
-    The two recurrences (phi_k and the small-side diagonal) run per endpoint
-    in Python floats, with math.exp and math.erfc: a numpy step across the
-    endpoints costs more than the scalar steps below about a dozen endpoints,
-    and np.exp is not math.exp bit for bit.  Everything after them is one
-    stack across the endpoints.
+    The recurrences along k (phi_k, and the small-side diagonal) each run
+    once, on a vector across the endpoints; phi_0 and erfc take math.exp
+    and math.erfc per endpoint, since np.exp is not math.exp bit for bit.
     """
     _coefficients(k_max)
-    coef = list(zip(_REC_A[1:k_max], _REC_B[1:k_max]))
-    phi = np.empty((len(xis), k_max + 1))
-    small = np.empty((len(xis), n + 1))
-    for i, xi in enumerate(xis):
-        p0 = math.exp(-0.5 * xi * xi - _LOG_PI_4)
-        p1 = math.sqrt(2.0) * xi * p0
-        row = [p0, p1]
-        append = row.append
-        for a, b in coef:
-            p0, p1 = p1, a * xi * p1 - b * p0
-            append(p1)
-        phi[i] = row
-        # small[k] = int_{-inf}^{-|xi|} phi_k^2; phi_k phi_{k+1} is odd
-        sign = 1.0 if xi <= 0.0 else -1.0
-        s = [0.5 * math.erfc(abs(xi))]
-        for k in range(n):
-            s.append(s[k] - sign * row[k] * row[k + 1] / math.sqrt(2.0 * (k + 1)))
-        small[i] = s
-    xi = np.array(xis, dtype=float)[:, None]
+    x = np.array(xis, dtype=float)
+    phis = list(np.empty((k_max + 1, x.size)))     # phi_k at every endpoint
+    phis[0][:] = [math.exp(-0.5 * xi * xi - _LOG_PI_4) for xi in xis]
+    phis[1][:] = math.sqrt(2.0) * x * phis[0]
+    axi = np.multiply.outer(_REC_A[:k_max], x)
+    for k in range(1, k_max):
+        np.subtract(axi[k] * phis[k], _REC_B[k] * phis[k - 1], out=phis[k + 1])
+    # small[k] = int_{-inf}^{-|xi|} phi_k^2; phi_k phi_{k+1} is odd
+    sign = np.where(x <= 0.0, 1.0, -1.0)
+    small = [np.array([0.5 * math.erfc(abs(xi)) for xi in xis])]
+    for k in range(n):
+        small.append(small[k] - sign * phis[k] * phis[k + 1] / math.sqrt(2.0 * (k + 1)))
+    # endpoint-major and C-ordered from here, as the tables are read (a
+    # matmul's BLAS path, and so its bits, can depend on operand layout)
+    phi, small = (np.ascontiguousarray(np.array(a).T) for a in (phis, small))
+    xi = x[:, None]
     lower = xi <= 0.0
     h_diag = np.where(lower, small, 1.0 - small)
     g_diag = np.where(lower, 1.0 - small, small)

@@ -391,9 +391,7 @@ def theorem1_uw(e: EndpointData, p: KernelParams, hats: tuple | None = None) -> 
     are Python floats, computed once per distinct c of the stack.
     """
     cs = np.ravel(p.c).tolist()
-    scales = dict.fromkeys(cs)
-    for c in scales:
-        scales[c] = _uw_scales(p.n, c)
+    scales = {c: _uw_scales(p.n, c) for c in set(cs)}
     fu, fw = np.array([scales[c] for c in cs]).T.reshape((2,) + np.shape(p.c))
     q_hat, p_hat, qt_hat, pt_hat = hats or hatted_vars(e)
     tr_u = _trace(e.U_hat)
