@@ -6,9 +6,11 @@
 
 Reports are JSON, scans CSV by default; every emitted number carries its
 parameter row.  `verify` exits 0 iff every non-skipped check passes, so it
-can gate CI; a stencil that does not fit a center (a step that is not
-positive and finite, or a c-difference that leaves (0, 1)) is a usage
-error, exit 2.
+can gate CI.  An input it cannot take is a usage error, exit 2, with one
+line on stderr: a stencil step that is not positive and finite, parameters
+KernelParams rejects, an unknown equation id, too few --samples or a
+negative --seed, all checked before anything is evaluated; and a
+c-difference that leaves (0, 1) at a center.
 
 Each command accepts only the flags it reads (COMMAND_FLAGS); any other flag
 is a usage error (exit 2).  Every default lives in RunConfig, and `verify`
@@ -33,8 +35,9 @@ from .kernel import KernelParams
 from . import gram
 from .fredholm import solve, endpoint_data
 from .observables import build_quartet, build_derived, SCALAR_FIELDS
-from .residuals import DEFAULT_STENCIL, PointCache, Stencil, StencilError, evaluate
-from .montecarlo import estimate_joint
+from .residuals import (DEFAULT_STENCIL, EQUATION_IDS, HIGHER_ORDER_IDS, PointCache, Stencil,
+                        StencilError, evaluate)
+from .montecarlo import MIN_SAMPLES, estimate_joint
 from .quadrature import DEFAULT_M
 
 __all__ = ["RunConfig", "main", "cmd_prob", "cmd_scan", "cmd_verify"]
@@ -146,17 +149,40 @@ def cmd_scan(cfg: RunConfig) -> int:
     return 0
 
 
+def _checked_stencil(cfg: RunConfig) -> Stencil:
+    """The stencil of cfg, once every input that verify reads checks out;
+    a failed check raises ValueError."""
+    stencil = Stencil(h_xi=cfg.fd_h, h_c=cfg.fd_hc)
+    for c in cfg.c:
+        KernelParams(cfg.n, c, cfg.xi[0], cfg.xi[1])
+    unknown = [i for i in cfg.equations or () if i not in EQUATION_IDS + HIGHER_ORDER_IDS]
+    if unknown:
+        raise ValueError(f"unknown equation ids: {unknown}")
+    if cfg.mc and cfg.samples < MIN_SAMPLES:
+        raise ValueError(f"--samples must be >= {MIN_SAMPLES}, got {cfg.samples}")
+    if cfg.mc and cfg.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {cfg.seed}")
+    return stencil
+
+
+def _usage_error(exc: Exception) -> int:
+    print(f"coupled-gue verify: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_verify(cfg: RunConfig) -> int:
+    try:
+        stencil = _checked_stencil(cfg)
+    except ValueError as exc:       # StencilError is one
+        return _usage_error(exc)
     reports = []
     try:
-        stencil = Stencil(h_xi=cfg.fd_h, h_c=cfg.fd_hc)
         for c in cfg.c:
             cache = PointCache(cfg.n)
             center = (cfg.xi[0], cfg.xi[1], c)
             reports.extend(evaluate(cache, center, stencil, ids=cfg.equations or None))
-    except StencilError as exc:
-        print(f"coupled-gue verify: error: {exc}", file=sys.stderr)
-        return 2
+    except StencilError as exc:     # a c-difference that leaves (0, 1)
+        return _usage_error(exc)
     for rep in reports:
         if cfg.tol is not None and rep.status == "ok":
             rep.tolerance = cfg.tol

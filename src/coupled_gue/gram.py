@@ -62,8 +62,9 @@ used for q~, p~, u and w never form 1 - H[k, k] where H[k, k] is close to 1.
 No entry depends on t, so a table built for a longer tail serves a shorter
 one by a prefix read, with the same numbers (RayTables).  A table stores its
 four endpoint vectors as one (k_max + 1, 4) block, the right-hand sides of
-endpoint_data.  Told the widest coupling a stencil reaches (RayTables.reach),
-RayTables builds each endpoint's table once.
+endpoint_data.  A batch builds its new endpoints at the tail of its widest
+coupling, so when one batch holds every point of a `residuals` center, each
+endpoint's table is built once.
 
 Points come in batches at one n, on a leading point axis (the stencil points
 of `residuals`).  ray_tables() builds the tables of a batch's new endpoints
@@ -181,20 +182,14 @@ def ray_tables(n: int, xis: list, k_max: int) -> list:
 class RayTables:
     """Ray tables at one matrix size n, one per endpoint value.
 
-    A table is built at the largest k_max asked for so far, and at least at
-    the tail of the widest coupling announced by reach(); a smaller k_max
+    A table is built at the largest k_max asked for so far; a smaller k_max
     reads its prefix, which holds the same numbers a fresh build would.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.k_min = 0
         self._tables: dict = {}
         self._powers: dict = {}
-
-    def reach(self, c: float) -> None:
-        """Build every later table long enough for the K_12 tail at coupling c."""
-        self.k_min = max(self.k_min, self.n + tail_length(c))
 
     def powers(self, c: float) -> tuple:
         """(c^(l-n) for l = n..n + t, -c^(n-k) for k < n) at c, computed once per c."""
@@ -209,7 +204,7 @@ class RayTables:
         todo = [xi for xi in dict.fromkeys(xis)
                 if (tab := self._tables.get(xi)) is None or tab.k_max < k_max]
         if todo:
-            self._tables.update(zip(todo, ray_tables(self.n, todo, max(k_max, self.k_min))))
+            self._tables.update(zip(todo, ray_tables(self.n, todo, k_max)))
 
     def get(self, xi: float, k_max: int) -> RayTable:
         tab = self._tables.get(xi)

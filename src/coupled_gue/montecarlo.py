@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["McEstimate", "sample_pair", "estimate_joint"]
+__all__ = ["MIN_SAMPLES", "McEstimate", "sample_pair", "estimate_joint"]
 
+MIN_SAMPLES = 1000
 _BATCH = 20_000
 
 
@@ -61,8 +62,8 @@ def sample_pair(n: int, c: float, rng: np.random.Generator,
 def estimate_joint(n: int, c: float, xi1: float, xi2: float,
                    n_samples: int, seed: int) -> McEstimate:
     """Fraction of samples with lmax1 <= xi1 and lmax2 <= xi2."""
-    if n_samples < 1000:
-        raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
     rng = np.random.default_rng(seed)
     hits = 0
     left = n_samples

@@ -80,8 +80,6 @@ class DerivedQuantities:
     dp_r3: float          # D+ r_3 = D+ D- T
     dm_rt: float          # D- r_t = D+ D- T
     dm_r3: float          # D- r_3 = D-^2 T
-    A: np.ndarray
-    A_tilde: np.ndarray
     A2: float
     D_plus: float         # D+ A^2
     D_minus: float        # D- A^2
@@ -310,8 +308,6 @@ def build_derived(e: EndpointData, q: MatrixQuartet, p: KernelParams) -> Derived
         dp_r3=dp_r3,
         dm_rt=dm_rt,
         dm_r3=dm_r3,
-        A=a_mat,
-        A_tilde=a_tilde,
         A2=a2,
         D_plus=d_plus,
         D_minus=d_minus,

@@ -14,19 +14,18 @@ Every point value comes from the closed-form Gram route (`gram`): a
 PointCache keeps one ray table per endpoint value and one 2n x 2n LU per
 stencil point, with no quadrature.
 
-Each stencil asks for all of its points at once.  A field takes arrays of
-(xi1, xi2, c), and _d_dir and _d_c call it once, on the arrays of their
-offsets; a nested stencil passes its arrays on, so the points of a stencil
-of stencils come as one array too.  PointCache looks up the points of a
-call and computes the missing ones as one batch: their ray tables, M and
-its LU (`gram.solve_batch`), then, where a field needs more than ln P, the
-endpoint matrices (`gram.endpoint_batch`) and the observables on the same
-leading point axis.  Before the groups run, evaluate() computes the points
-that their stencils read as one batch (_prefetch), so a center of the
-default ids is one batch; the stencils then read the cache.  A derivative
-accumulates its terms in the order of the offsets, from 0, as sum() did on
-one float per point, and a point has the same bits in any batch, so every
-residual has the bits of a point-by-point evaluation.
+A field is a function of one point (xi1, xi2, c), and _d_dir and _d_c sum
+its values at their offsets, in the order of the offsets.  The evaluators
+are the only code that knows the stencils: evaluate() runs the requested
+groups twice, through PointCache.batched.  The first, recording pass runs
+them on NaN stand-ins and notes every point they read, and whether a point
+needs its observables or only ln P.  The recorded points are then computed
+as one batch: their ray tables, M and its LU (`gram.solve_batch`), then,
+at the points that need them, the endpoint matrices (`gram.endpoint_batch`)
+and the observables on the same leading point axis, which become one row
+of Python floats per point.  The second pass runs the groups on those
+values.  A point has the same bits in any batch, so every residual has the
+bits of a point-by-point evaluation.
 
 Equations whose natural scale collapses at a center (empty-constraint
 limits xi -> inf, or the X_3 = 0 locus xi1 = xi2) are downgraded to
@@ -36,8 +35,8 @@ status "degenerate" instead of producing meaningless ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -136,165 +135,130 @@ class ResidualReport:
         }
 
 
-_UW = ("U", "W", "DpU", "DmU", "DpW", "DmW")
+# One point's values as Python floats, its 2x2 matrices as nested lists: the
+# fields of DerivedQuantities, theorem 1's U and W with their first
+# derivatives, and r.
+_Row = namedtuple("_Row", [f.name for f in fields(DerivedQuantities)]
+                  + ["U", "W", "DpU", "DmU", "DpW", "DmW", "r"])
+_NAN_ROW = _Row._make([[math.nan] * 2] * 2 if k in ("r", "dp_r", "dm_r") else math.nan
+                      for k in _Row._fields)
 
 
 class _Point:
-    """One stencil point: its Gram solution, and its row in the stacks of
-    observables of the batch it was computed in (PointCache fills both)."""
+    """One stencil point: its Gram solution, and its row of values once
+    observed.  PointCache fills both in batches; a point no batch computed
+    is computed when read, as a batch of one."""
+
+    __slots__ = ("cache", "params", "sol", "row")
 
     def __init__(self, cache: "PointCache", params: KernelParams):
-        self.cache = cache
-        self.params = params
-        self._sol = None
-        self.obs = None     # (EndpointData, DerivedQuantities, uw dict) of a batch
-        self.i = 0          # this point's index in them
+        self.cache, self.params = cache, params
+        self.sol = self.row = None
 
     @property
-    def sol(self):
-        if self._sol is None:
-            self.cache._solve([self])
-        return self._sol
-
-    def _observed(self) -> tuple:
-        if self.obs is None:
+    def derived(self) -> _Row:
+        if self.row is None:
             self.cache._observe([self])
-        return self.obs
+        return self.row
 
     @property
-    def end(self):
-        return self._observed()[0].take(self.i, self.params)
-
-    @cached_property
-    def derived(self) -> DerivedQuantities:
-        return DerivedQuantities(**{k: v[self.i] for k, v in vars(self._observed()[1]).items()})
-
-    @property
-    def uw(self) -> dict:
-        return {k: v[self.i] for k, v in self._observed()[2].items()}
-
-    @property
-    def T(self):
+    def T(self) -> float:
+        if self.sol is None:
+            self.cache._solve([self])
         return self.sol.log_prob + log_tau_n(self.params.n, self.params.c)
 
 
-class _Stack:
-    """PointCache fields at an array of points: reading a name computes the
-    points that lack it as one batch, and gives its values in the array's
-    shape (a numpy float for a single point)."""
+class _StandIn:
+    """A point in the recording pass of PointCache.batched: NaN values, and
+    whether its observables were read (else only ln P was)."""
 
-    def __init__(self, cache: "PointCache", points: list, shape: tuple):
-        self._cache, self._points, self._shape = cache, points, shape
+    __slots__ = ("observed",)
+    T = math.nan
 
-    def __getattr__(self, name: str):
-        pts = self._points
-        if name in ("T", "log_prob"):
-            self._cache._solve(pts)
-            vals = [p.T if name == "T" else p._sol.log_prob for p in pts]
-        else:
-            self._cache._observe(pts)
-            if name in _UW:
-                vals = [p.obs[2][name][p.i] for p in pts]
-            else:
-                vals = [getattr(p.obs[1], name)[p.i] for p in pts]
-        return np.array(vals).reshape(self._shape)[()]
+    def __init__(self):
+        self.observed = False
+
+    @property
+    def derived(self) -> _Row:
+        self.observed = True
+        return _NAN_ROW
 
 
 class PointCache:
     """Memoizes Gram solves per (xi1, xi2, c) at one n; shared by all residuals.
 
     The solves share one ray table per endpoint value (`gram.RayTables`).
-    Points are computed a batch at a time: the missing points of one field
-    call, or a single point read through point().
+    Points are computed a batch at a time: the points that a batched() run
+    reads, or a single point that no batch computed, when it is read.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.tables = RayTables(n)
         self._points: dict = {}
+        self._record = None     # key -> _StandIn, during a recording pass
 
-    def point(self, xi1: float, xi2: float, c: float) -> _Point:
+    def point(self, xi1: float, xi2: float, c: float):
         key = (xi1, xi2, c)
+        if self._record is not None:
+            s = self._record.get(key)
+            if s is None:
+                s = self._record[key] = _StandIn()
+            return s
         p = self._points.get(key)
         if p is None:
             p = self._points[key] = _Point(self, KernelParams(self.n, c, xi1, xi2))
         return p
 
-    def _lookup(self, x1, x2, c) -> list:
-        keys = zip(*(np.ravel(v).tolist() for v in (x1, x2, c)))
-        return [self._points.get(key) or self.point(*key) for key in keys]
-
-    def at(self, x1, x2, c) -> _Stack:
-        """The points of the arrays x1, x2, c (floats or arrays of one shape)."""
-        return _Stack(self, self._lookup(x1, x2, c), np.shape(x1))
-
-    def prefetch(self, points: tuple, solved: tuple = ([], [], [])) -> None:
-        """Compute, as one batch, the observables at `points` and ln P at
-        `solved` (each a tuple of lists x1s, x2s, cs), so that several
-        stencils that read them share the batch."""
-        pts = self._lookup(*points)
-        self._solve(pts + self._lookup(*solved))
-        self._observe(pts)
+    def batched(self, run):
+        """run() twice, and the second result: first on NaN stand-ins, which
+        records every point it reads; then, after the recorded points are
+        computed as one batch (observables where run read them, ln P
+        elsewhere), on their values.  Which points run reads must not depend
+        on their values.  Not reentrant."""
+        self._record = {}
+        try:
+            run()
+            recorded = self._record
+        finally:
+            self._record = None
+        pts = [self.point(*key) for key in recorded]
+        self._solve(pts)
+        self._observe([p for p, s in zip(pts, recorded.values()) if s.observed])
+        return run()
 
     def _solve(self, pts: list) -> None:
-        todo = list({id(p): p for p in pts if p._sol is None}.values())
+        todo = [p for p in pts if p.sol is None]
         if todo:
             for p, sol in zip(todo, solve_batch([p.params for p in todo], self.tables)):
-                p._sol = sol
+                p.sol = sol
 
     def _observe(self, pts: list) -> None:
-        todo = list({id(p): p for p in pts if p.obs is None}.values())
+        todo = [p for p in pts if p.row is None]
         if todo:
             self._solve(todo)
             e = endpoint_batch([p.sol for p in todo])
             hats = hatted_vars(e)
-            obs = (e, build_derived(e, build_quartet(e, hats), e.params),
-                   theorem1_uw(e, e.params, hats))
-            for i, p in enumerate(todo):
-                p.obs, p.i = obs, i
+            cols = {**vars(build_derived(e, build_quartet(e, hats), e.params)),
+                    **theorem1_uw(e, e.params, hats), "r": e.r}
+            cols = [cols[k] for k in _Row._fields]
+            for p, row in zip(todo, zip(*(v.tolist() if isinstance(v, np.ndarray) else v
+                                          for v in cols))):
+                p.row = _Row(*row)
 
     def f(self, name: str):
-        """Scalar field (xi1, xi2, c) -> value, on floats or on arrays of one shape.
-
-        Names resolve against DerivedQuantities attributes, the theorem-1
-        U/W dict, or the specials 'T' and 'log_prob'.
-        """
-        return lambda x1, x2, c: getattr(self.at(x1, x2, c), name)
-
-
-def _call(f, x1s, x2s, cs):
-    """f at the points (x1s[k], x2s[k], cs[k]) of every k, in one call; the
-    values at point k come along the leading axis.  Every entry is a float,
-    or every entry an array of one shape (the points of an outer stencil)."""
-    return f(np.array(x1s), np.array(x2s), np.array(cs))
-
-
-def _stencil(x1, x2, c, direction, h, order=4):
-    """The points of a directional stencil, as lists of x1, x2 and c."""
-    offs = _D1[order][0]
-    dx1, dx2 = direction
-    return [x1 + o * h * dx1 for o in offs], [x2 + o * h * dx2 for o in offs], [c] * len(offs)
-
-
-def _c_pair(x1, x2, c, hc):
-    """The points of a central c-difference, as lists of x1, x2 and c."""
-    return [x1, x1], [x2, x2], [c + hc, c - hc]
-
-
-def _join(*stencils):
-    """The points of several stencils, as lists of x1, x2 and c."""
-    return tuple(sum((s[k] for s in stencils), []) for k in range(3))
+        """The field (xi1, xi2, c) -> the value `name` of the point's row."""
+        return lambda x1, x2, c: getattr(self.point(x1, x2, c).derived, name)
 
 
 def _d_dir(f, x1, x2, c, direction, h, order=4):
     """Directional derivative along `direction` in the xi-plane."""
-    vals = _call(f, *_stencil(x1, x2, c, direction, h, order))
-    return sum(w * v for w, v in zip(_D1[order][1], vals)) / h
+    dx1, dx2 = direction
+    return sum(w * f(x1 + o * h * dx1, x2 + o * h * dx2, c) for o, w in zip(*_D1[order])) / h
 
 
 def _d_c(f, x1, x2, c, hc):
-    up, down = _call(f, *_c_pair(x1, x2, c, hc))
-    return (up - down) / (2.0 * hc)
+    return (f(x1, x2, c + hc) - f(x1, x2, c - hc)) / (2.0 * hc)
 
 
 def _a0(x1, x2, c, d1, d2, dc, tilde=False):
@@ -371,7 +335,7 @@ def _eval_cor_x(cache, center, st, tol=1e-6):
 
 def _a2t_exact(d, c, tilde=False):
     """A^2 T or At^2 T from exact second derivatives."""
-    sig = np.sqrt(d.sigma2)
+    sig = math.sqrt(d.sigma2)
     s = -1.0 if tilde else 1.0
     return square(1.0 + c) / 4.0 * (
         d.dp_rt + 2.0 * s * sig * d.dp_r3 + d.sigma2 * d.dm_r3
@@ -381,9 +345,7 @@ def _a2t_exact(d, c, tilde=False):
 def _eval_theorem1(cache, center, st, tol=1e-4):
     x1, x2, c = center
     st.check_c(c)
-    pt = cache.point(x1, x2, c)
-    d = pt.derived
-    uw = pt.uw
+    d = cache.point(x1, x2, c).derived
     a2t = _a2t_exact(d, c)
     at2t = _a2t_exact(d, c, tilde=True)
 
@@ -391,7 +353,7 @@ def _eval_theorem1(cache, center, st, tol=1e-4):
         """A (sign +1) or At (sign -1) applied to the field U or W."""
         def fval(a, b, cc):
             s = (1.0 - cc) / (1.0 + cc)
-            u = cache.at(a, b, cc)
+            u = cache.point(a, b, cc).derived
             return (1.0 + cc) / 2.0 * (getattr(u, "Dp" + which)
                                        + sign * s * getattr(u, "Dm" + which))
         return fval
@@ -399,9 +361,9 @@ def _eval_theorem1(cache, center, st, tol=1e-4):
     reports = _eval_toda00(cache, center, st, eq_id="thm1_00", tol=1e-6)
     for which, sgn, ids in (("U", +1.0, ("thm1_pt", "thm1_ps")),
                             ("W", -1.0, ("thm1_mt", "thm1_ms"))):
-        val = uw[which]
-        d1 = (uw["Dp" + which] + uw["Dm" + which]) / 2.0
-        d2 = (uw["Dp" + which] - uw["Dm" + which]) / 2.0
+        val, dp, dm = (getattr(d, pre + which) for pre in ("", "Dp", "Dm"))
+        d1 = (dp + dm) / 2.0
+        d2 = (dp - dm) / 2.0
         dc = _d_c(cache.f(which), x1, x2, c, st.h_c)
         a0 = _a0(x1, x2, c, d1, d2, dc)
         at0 = _a0(x1, x2, c, d1, d2, dc, tilde=True)
@@ -422,10 +384,11 @@ def _eval_theorem1(cache, center, st, tol=1e-4):
 
 def _a0t_field(cache, hc, tilde=False):
     """A_0 T (or At_0 T) as a field; the c-derivative is 2nd-order FD."""
-    t_field = cache.f("T")
+    def t_field(x1, x2, c):
+        return cache.point(x1, x2, c).T
 
     def fval(x1, x2, c):
-        d = cache.at(x1, x2, c)
+        d = cache.point(x1, x2, c).derived
         r_t, r_3 = d.r_t, d.r_3
         return _a0(x1, x2, c, (r_t + r_3) / 2.0, (r_t - r_3) / 2.0,
                    _d_c(t_field, x1, x2, c, hc), tilde)
@@ -442,8 +405,8 @@ def _g_field(cache, st, tilde=False, order=4):
     sign = -1.0 if tilde else 1.0
 
     def fval(a, b, cc):
-        d = cache.at(a, b, cc)
-        s = np.sqrt(d.sigma2)
+        d = cache.point(a, b, cc).derived
+        s = math.sqrt(d.sigma2)
         a_t = (1.0 + cc) / 2.0 * (d.r_t + sign * s * d.r_3)
         dirv = (1.0, cc) if tilde else (cc, 1.0)
         return a_t - _d_dir(a0t, a, b, cc, dirv, st.h_xi, order) / (2.0 * cc)
@@ -455,7 +418,7 @@ def _f_field(cache):
     n = cache.n
 
     def fval(x1, x2, c):
-        d = cache.at(x1, x2, c)
+        d = cache.point(x1, x2, c).derived
         s2 = d.sigma2
         return (d.dp_rt - s2 * d.dm_r3) / (4.0 * (1.0 - s2)) + n / 2.0
 
@@ -490,7 +453,7 @@ def _eval_f4t(cache, center, st, tol=1e-4):
     r3_f = cache.f("r_3")
 
     def gp(a, b, cc):
-        d = cache.at(a, b, cc)
+        d = cache.point(a, b, cc).derived
         s2 = d.sigma2
         xp_, xm_ = a + b, a - b
         dcrt = _d_c(rt_f, a, b, cc, st.h_c)
@@ -499,7 +462,7 @@ def _eval_f4t(cache, center, st, tol=1e-4):
                 - 0.5 * xp_ * s2 * (d.dp_rt - d.dm_r3) / (1.0 - s2))
 
     def gm(a, b, cc):
-        d = cache.at(a, b, cc)
+        d = cache.point(a, b, cc).derived
         s2 = d.sigma2
         xp_, xm_ = a + b, a - b
         dcr3 = _d_c(r3_f, a, b, cc, st.h_c)
@@ -614,9 +577,9 @@ def _eval_ccom(cache, center, st, tol=1e-5):
     x1, x2, c = center
     st.check_c(c)
     d = cache.point(x1, x2, c).derived
-    r = cache.point(x1, x2, c).end.r
-    lhs_p = r[0, 1] * d.dp_r[1, 0] - d.dp_r[0, 1] * r[1, 0]
-    lhs_m = r[0, 1] * d.dm_r[1, 0] - d.dm_r[0, 1] * r[1, 0]
+    r = d.r
+    lhs_p = r[0][1] * d.dp_r[1][0] - d.dp_r[0][1] * r[1][0]
+    lhs_m = r[0][1] * d.dm_r[1][0] - d.dm_r[0][1] * r[1][0]
     rhs_p = -2.0 * c * _d_c(cache.f("r_t"), x1, x2, c, st.h_c)
     rhs_m = 2.0 * c * _d_c(cache.f("r_3"), x1, x2, c, st.h_c)
     return [
@@ -759,14 +722,14 @@ def _eval_higher(cache, center, st, tol=1e-2):
         g_f = _g_field(cache, st, tilde, order=2)
 
         def a2t(a, b, cc):
-            return _a2t_exact(cache.at(a, b, cc), cc, tilde)
+            return _a2t_exact(cache.point(a, b, cc).derived, cc, tilde)
 
         def af(a, b, cc):
             return _d_dir(ff, a, b, cc, a_dir(cc, tilde), h, 2)
 
         def g0(a, b, cc):
             """G0 = W A0 U - U A0 W, or its dual with At_0."""
-            u = cache.at(a, b, cc)
+            u = cache.point(a, b, cc).derived
             return (u.W * a0_apply(u_f, a, b, cc, tilde)
                     - u.U * a0_apply(w_f, a, b, cc, tilde))
 
@@ -853,59 +816,21 @@ HIGHER_ORDER_IDS = ["app_T1", "app_T2", "app_AG0", "app_tAG0"]
 EQUATION_IDS = [k for k in _GROUPS if k not in HIGHER_ORDER_IDS]
 
 
-def _reach(cache, c, st, ids):
-    """Announce the widest coupling the stencil reaches, so that each ray
-    table is built once: the c-differences reach c + h_c, and the nested ones
-    of the fifth-order ids c + 2 (4 h_c)."""
-    top = c + (8.0 if any(i in HIGHER_ORDER_IDS for i in ids) else 1.0) * st.h_c
-    if top < 1.0:
-        cache.tables.reach(top)
-
-
-def _prefetch(cache, center, st, groups):
-    """Compute, as one batch, the points that the stencils of the default
-    groups read: the center; the endpoint stencils along (1, +-1), (1, c)
-    and (c, 1); the c-difference at the center; the A_0 T stencils nested in
-    avm, with the c-differences of T around them; and the (1, -1) stencils
-    nested in f4t.  The stencils still read their points through the cache,
-    so a point left out here costs a batch, not a value."""
-    x1, x2, c = center
-    h = st.h_xi
-    observed, solved = [([x1], [x2], [c])], []
-    if groups & {_eval_corollary, _eval_final_four, _eval_appendix, _eval_f4t}:
-        observed += [_stencil(x1, x2, c, d, h) for d in ((1, 1), (1, -1))]
-    if groups & {_eval_theorem1, _eval_avm}:
-        observed += [_stencil(x1, x2, c, d, h) for d in ((1.0, c), (c, 1.0))]
-    if groups & {_eval_theorem1, _eval_ccom, _eval_f4t, _eval_avm}:
-        st.check_c(c)
-    if groups & {_eval_theorem1, _eval_ccom, _eval_f4t}:
-        observed.append(_c_pair(x1, x2, c, st.h_c))
-    if _eval_avm in groups:
-        inner = [_stencil(a, b, c, d, h) for d in ((1.0, c), (c, 1.0))
-                 for a, b in zip(*_stencil(x1, x2, c, d, h)[:2])]
-        observed += inner
-        solved += [_c_pair(a, b, c, st.h_c) for a, b in zip(*_join(*inner)[:2])]
-    if _eval_f4t in groups:
-        observed += [_stencil(a, b, c, (1, -1), h)
-                     for a, b in zip(*_stencil(x1, x2, c, (1, 1), h)[:2])]
-    cache.prefetch(_join(*observed), _join(*solved))
-
-
 def evaluate(cache, center, stencil=None, ids=None, include_higher=False):
-    """Evaluate residual reports for the requested equation ids."""
+    """Evaluate residual reports for the requested equation ids, in their order.
+
+    The groups run through cache.batched, so the points of all their
+    stencils are computed as one batch."""
     st = stencil or DEFAULT_STENCIL
     if ids is None:
         ids = list(EQUATION_IDS) + (HIGHER_ORDER_IDS if include_higher else [])
     unknown = [i for i in ids if i not in _GROUPS]
     if unknown:
         raise ValueError(f"unknown equation ids: {unknown}")
-    _reach(cache, center[2], st, ids)
     groups = list(dict.fromkeys(_GROUPS[eq][0] for eq in ids))
-    _prefetch(cache, center, st, set(groups))
     wanted = set(ids)
-    reports = []
-    for fn in groups:
-        reports.extend(r for r in fn(cache, center, st) if r.equation in wanted)
+    reports = cache.batched(lambda: [r for fn in groups for r in fn(cache, center, st)
+                                     if r.equation in wanted])
     order = {eq: k for k, eq in enumerate(ids)}
     reports.sort(key=lambda r: order[r.equation])
     return reports
@@ -968,8 +893,7 @@ def painleve_boundary_check(n, xi1, c, m=DEFAULT_M, xi2=12.0, stencil=None):
     st = stencil or DEFAULT_STENCIL
     cache = PointCache(n)
     center = (xi1, xi2, c)
-    d = cache.point(*center).derived
-    fd = _fd_thirds(cache, center, st)
+    d, fd = cache.batched(lambda: (cache.point(*center).derived, _fd_thirds(cache, center, st)))
     p1_res, p1_scale = painleve_iv_residual(n, xi1, m)
 
     p_t, p_3 = _p_third(d, fd)

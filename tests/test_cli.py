@@ -193,7 +193,14 @@ def test_verify_reports_carry_no_node_count(capsys):
     ["--fd-h", "nan"],                              # nor one that is not finite
     ["--c", "0.5", "--fd-hc", "0.3"],              # c - 2 h_c leaves (0, 1)
     ["--c", "0.995", "--equations", "app_T1"],     # c + 2 (4 h_c) leaves (0, 1)
-], ids=["zero-step", "nan-step", "wide-c-step", "fifth-order-near-1"])
+    ["--n", "0"],                                   # KernelParams rejects n < 1
+    ["--c", "1.5", "--equations", "toda00"],       # c outside (0, 1), no c-difference
+    ["--xi", "nan", "0.3"],                         # an endpoint that is not finite
+    ["--equations", "nope"],                        # an unknown id
+    ["--mc", "--samples", "0", "--equations", "toda00"],   # too few samples
+    ["--mc", "--seed", "-1", "--equations", "toda00"],     # a seed numpy rejects
+], ids=["zero-step", "nan-step", "wide-c-step", "fifth-order-near-1", "n-zero", "c-above-1",
+        "nan-xi", "unknown-id", "few-samples", "negative-seed"])
 def test_invalid_stencil_is_a_usage_error(argv, capsys):
     code = main(["verify", *argv])
     out, err = capsys.readouterr()

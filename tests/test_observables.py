@@ -121,7 +121,6 @@ def test_quartet_derivative_equations_vs_fd(bank):
     n, c, x1, x2 = CENTER
     e = bank.end(*CENTER)
     q = build_quartet(e)
-    d = bank.derived(*CENTER)
     h = 5e-3
     coef = [(1.0 / 12, -2), (-2.0 / 3, -1), (2.0 / 3, 1), (-1.0 / 12, 2)]
     fd = sum(
@@ -129,7 +128,8 @@ def test_quartet_derivative_equations_vs_fd(bank):
         for w, o in coef
     ) / h
     xi_m = np.diag([x1, x2])
-    rhs = q.Phi - comm(xi_m + d.A_tilde, q.X_minus)
+    a_tilde = e.params.sigma * a_matrix(e.r, e.params.sigma)
+    rhs = q.Phi - comm(xi_m + a_tilde, q.X_minus)
     assert np.max(np.abs(fd - rhs)) <= 1e-7 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -141,10 +141,11 @@ def test_ra_equations(ctx):
     dp_a = a_matrix(d.dp_r, sig)
     dm_a = a_matrix(d.dm_r, sig)
     lhs1 = SIGMA3 @ dp_a
-    rhs1 = -anti(q.X_plus) - (x1 + x2) * d.A_tilde
+    a_mat = a_matrix(e.r, sig)
+    rhs1 = -anti(q.X_plus) - (x1 + x2) * (sig * a_mat)
     assert np.max(np.abs(lhs1 - rhs1)) <= 1e-8 * max(1.0, np.max(np.abs(rhs1)))
     lhs2 = sig * SIGMA3 @ dm_a
-    rhs2 = anti(q.X_minus) - (x1 - x2) * d.A
+    rhs2 = anti(q.X_minus) - (x1 - x2) * a_mat
     assert np.max(np.abs(lhs2 - rhs2)) <= 1e-8 * max(1.0, np.max(np.abs(rhs2)))
 
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from coupled_gue import gram
+from coupled_gue import gram, residuals
 from coupled_gue.residuals import (
     DEFAULT_STENCIL,
     EQUATION_IDS,
@@ -58,6 +58,32 @@ def test_boundary_toda_converged_in_tail_length(monkeypatch):
     long = evaluate(PointCache(2), CENTER, ids=["toda00"])[0]
     assert abs(long.residual - short.residual) <= 1e-13 * short.scale
     assert long.relative <= 1e-6
+
+
+@pytest.mark.parametrize("n, center, ids", [
+    (2, (0.0, 0.3, 0.5), None),
+    (5, (3.1364, 1.4037, 0.6791), HIGHER_ORDER_IDS),
+    (2, (0.0, 0.3, 0.5), ["ccom_p"]),
+], ids=["default", "fifth-order", "subset"])
+def test_one_gram_batch_per_center(monkeypatch, n, center, ids):
+    # the recording pass computes nothing, and every point it records is
+    # computed in the one batch that follows it
+    cache = PointCache(n)
+    calls = []
+
+    def counted(batch):
+        def wrapper(arg, *rest):
+            calls.append((batch.__name__, len(arg), cache._record is None))
+            return batch(arg, *rest)
+        return wrapper
+
+    for name in ("solve_batch", "endpoint_batch"):
+        monkeypatch.setattr(residuals, name, counted(getattr(residuals, name)))
+    evaluate(cache, center, ids=ids)
+    points = len(cache._points)
+    assert calls[0] == ("solve_batch", points, True)
+    assert [(name, recorded) for name, _, recorded in calls] == \
+        [("solve_batch", True), ("endpoint_batch", True)]
 
 
 def test_theorem1_reports(cache):

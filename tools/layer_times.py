@@ -2,8 +2,8 @@
 
     python3 tools/layer_times.py
 
-`residuals.PointCache` computes the stencil points of one field call as a
-batch, through four layers:
+`residuals.evaluate` computes the stencil points of one center as a batch,
+through four layers:
 
 - `ray_tables`: `gram.ray_tables` on the batch's new endpoints;
 - `m_lu`: `gram.solve_batch` on tables built beforehand (M and its LU);
@@ -16,7 +16,13 @@ n = 2, 5, 10 and 20, c = 0.5, with endpoints near the spectral edge
 sqrt(2n) and two new endpoints per point.  Writes BENCH_verify_layers.json
 at the repository root: the environment, and for each layer, n and batch
 size the median and minimum over repeats of the time per call and per
-point.  BLAS runs on one thread.
+point.
+
+The residual stencils are timed as a whole: `evaluate` at one center near
+the edge, (sqrt(2n) - 0.3, sqrt(2n) + 0.2, c = 0.5), for each n, once with
+the default ids and once with the fifth-order ids; on a fresh `PointCache`
+(the batch and both passes over the stencils) and on a full one (the two
+passes alone).  BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ import scipy  # noqa: E402
 from coupled_gue import KernelParams, gram  # noqa: E402
 from coupled_gue.observables import (  # noqa: E402
     build_derived, build_quartet, hatted_vars, theorem1_uw)
+from coupled_gue.residuals import HIGHER_ORDER_IDS, PointCache, evaluate  # noqa: E402
 
 OUT = ROOT / "BENCH_verify_layers.json"
 SIZES = (2, 5, 10, 20)
@@ -111,6 +118,24 @@ def layers(n: int, batch: int) -> dict:
     }
 
 
+def stencils(n: int) -> list:
+    """evaluate at the center of points(n, 1), on a fresh and on a full cache."""
+    p = points(n, 1)[0]
+    center = (p.xi1, p.xi2, C)
+    rows = []
+    for ids_name, ids in (("default", None), ("fifth_order", HIGHER_ORDER_IDS)):
+        full = PointCache(n)
+        evaluate(full, center, ids=ids)
+        for cache_name, fn in (("fresh", lambda: evaluate(PointCache(n), center, ids=ids)),
+                               ("full", lambda: evaluate(full, center, ids=ids))):
+            t = timed(fn)
+            rows.append({"n": n, "ids": ids_name, "cache": cache_name,
+                         "points": len(full._points),
+                         "median_us": round(1e6 * t["median"], 2),
+                         "min_us": round(1e6 * t["min"], 2)})
+    return rows
+
+
 def main() -> int:
     rows: dict = {}
     for n in SIZES:
@@ -124,17 +149,21 @@ def main() -> int:
                     "median_us_per_point": round(1e6 * t["median"] / batch, 2),
                     "min_us_per_point": round(1e6 * t["min"] / batch, 2),
                 })
+    residual_stencils = [row for n in SIZES for row in stencils(n)]
     result = {
         "script": "tools/layer_times.py",
         "environment": environment(),
         "setup": {"c": C, "endpoint_step": STEP, "repeats": REPEATS, "sizes": list(SIZES),
                   "batches": list(BATCHES)},
         "layers": rows,
+        "residual_stencils": residual_stencils,
     }
     OUT.write_text(json.dumps(result, indent=2) + "\n")
     for layer, entries in rows.items():
         print(layer, " ".join(f"n={r['n']}/b={r['batch']}:{r['median_us_per_point']}us"
                               for r in entries))
+    print("residual_stencils", " ".join(f"n={r['n']}/{r['ids']}/{r['cache']}:{r['median_us']}us"
+                                        for r in residual_stencils))
     return 0
 
 
