@@ -137,7 +137,7 @@ class ResidualReport:
 
 # One point's values as Python floats, its 2x2 matrices as nested lists: the
 # fields of DerivedQuantities, theorem 1's U and W with their first
-# derivatives, and r.
+# derivatives, and r.  A stand-in reads NaN in every value.
 _Row = namedtuple("_Row", [f.name for f in fields(DerivedQuantities)]
                   + ["U", "W", "DpU", "DmU", "DpW", "DmW", "r"])
 _NAN_ROW = _Row._make([[math.nan] * 2] * 2 if k in ("r", "dp_r", "dm_r") else math.nan
@@ -239,11 +239,11 @@ class PointCache:
             self._solve(todo)
             e = endpoint_batch([p.sol for p in todo])
             hats = hatted_vars(e)
-            cols = {**vars(build_derived(e, build_quartet(e, hats), e.params)),
+            vals = {**vars(build_derived(e, build_quartet(e, hats), e.params)),
                     **theorem1_uw(e, e.params, hats), "r": e.r}
-            cols = [cols[k] for k in _Row._fields]
-            for p, row in zip(todo, zip(*(v.tolist() if isinstance(v, np.ndarray) else v
-                                          for v in cols))):
+            cols = (vals[k] for k in _Row._fields)
+            rows = zip(*(v.tolist() if isinstance(v, np.ndarray) else v for v in cols))
+            for p, row in zip(todo, rows):
                 p.row = _Row(*row)
 
     def f(self, name: str):
@@ -888,12 +888,14 @@ def painleve_boundary_check(n, xi1, c, m=DEFAULT_M, xi2=12.0, stencil=None):
     normalized P_plus (final system) all converge to the one-matrix
     Painleve IV combination; each is compared, at the one-matrix scale,
     against an independent scalar-kernel evaluation.  m is the node count of
-    that one-matrix Nystrom oracle; the coupled side takes the Gram route.
+    that one-matrix Nystrom oracle; the coupled side takes the Gram route,
+    its points, avm's included, as one batch.
     """
     st = stencil or DEFAULT_STENCIL
     cache = PointCache(n)
     center = (xi1, xi2, c)
-    d, fd = cache.batched(lambda: (cache.point(*center).derived, _fd_thirds(cache, center, st)))
+    d, fd, rep = cache.batched(lambda: (cache.point(*center).derived, _fd_thirds(cache, center, st),
+                                        _eval_avm(cache, center, st)[0]))
     p1_res, p1_scale = painleve_iv_residual(n, xi1, m)
 
     p_t, p_3 = _p_third(d, fd)
@@ -905,7 +907,6 @@ def painleve_boundary_check(n, xi1, c, m=DEFAULT_M, xi2=12.0, stencil=None):
                       ("final_Px", comp["P_x"]), ("final_Pplus", p_plus_norm)):
         out[name] = val / p1_scale
         out[name + "_gap"] = abs(val - p1_res) / p1_scale
-    rep = evaluate(cache, center, st, ids=["avm"])[0]
     out["avm_relative"] = rep.relative if rep.status == "ok" else 0.0
     out["avm_residual"] = rep.residual
     out["avm_scale"] = rep.scale

@@ -73,17 +73,16 @@ def test_one_gram_batch_per_center(monkeypatch, n, center, ids):
 
     def counted(batch):
         def wrapper(arg, *rest):
-            calls.append((batch.__name__, len(arg), cache._record is None))
+            calls.append((batch.__name__, len(arg), cache._record is not None))
             return batch(arg, *rest)
         return wrapper
 
     for name in ("solve_batch", "endpoint_batch"):
         monkeypatch.setattr(residuals, name, counted(getattr(residuals, name)))
     evaluate(cache, center, ids=ids)
-    points = len(cache._points)
-    assert calls[0] == ("solve_batch", points, True)
-    assert [(name, recorded) for name, _, recorded in calls] == \
-        [("solve_batch", True), ("endpoint_batch", True)]
+    assert [(name, recording) for name, _, recording in calls] == \
+        [("solve_batch", False), ("endpoint_batch", False)]
+    assert calls[0][1] == len(cache._points)
 
 
 def test_theorem1_reports(cache):
