@@ -6,11 +6,15 @@
 
 Reports are JSON, scans CSV by default; every emitted number carries its
 parameter row.  `verify` exits 0 iff every non-skipped check passes, so it
-can gate CI.  An input it cannot take is a usage error, exit 2, with one
-line on stderr: a stencil step that is not positive and finite, parameters
-KernelParams rejects, an unknown equation id, too few --samples or a
-negative --seed, all checked before anything is evaluated; and a
-c-difference that leaves (0, 1) at a center.
+can gate CI.  An input a command cannot take is a usage error, exit 2,
+with one line on stderr.  `prob` and `scan` check theirs before computing:
+parameters KernelParams rejects at any point, a --grid that is not 'a:b:steps'
+with steps >= 1, and a --quad-m outside [8, 512].  `verify` checks a stencil
+step that is not positive and finite, parameters KernelParams rejects, an
+unknown equation id, too few --samples or a negative --seed before anything
+is evaluated; then a c-difference that leaves (0, 1) at a center, and a
+coupling whose K_12 tail is longer than gram.MAX_TAIL.  A FredholmError is
+not caught.
 
 Each command accepts only the flags it reads (COMMAND_FLAGS); any other flag
 is a usage error (exit 2).  Every default lives in RunConfig, and `verify`
@@ -84,6 +88,11 @@ def _parse_grid(text: str) -> list[float]:
     return [a + (b - a) * k / (steps - 1) for k in range(steps)]
 
 
+def _usage_error(cfg: RunConfig, exc: Exception) -> int:
+    print(f"coupled-gue {cfg.command}: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -96,14 +105,33 @@ def _fmt_float(x: float) -> str:
     return repr(float(x))
 
 
+def _checked_points(cfg: RunConfig) -> list[KernelParams]:
+    """The points prob or scan computes, in output order, once every input
+    they read checks out; a failed check raises ValueError."""
+    if not 8 <= cfg.quad_m <= 512:      # the node counts quadrature.ray_grid takes
+        raise ValueError(f"--quad-m must be in [8, 512], got {cfg.quad_m}")
+    scan = cfg.command == "scan"
+    if scan and cfg.grid:
+        xi1s = xi2s = _parse_grid(cfg.grid)
+    else:
+        xi1s, xi2s = [cfg.xi[0]], [cfg.xi[1]]
+    points = [(c, x1, x2) for c in cfg.c for x1 in xi1s for x2 in xi2s]
+    if scan:
+        points.sort()
+    return [KernelParams(cfg.n, c, x1, x2) for c, x1, x2 in points]
+
+
 def cmd_prob(cfg: RunConfig) -> int:
+    try:
+        ps = _checked_points(cfg)
+    except ValueError as exc:
+        return _usage_error(cfg, exc)
     rows = []
-    for c in cfg.c:
-        p = KernelParams(cfg.n, c, cfg.xi[0], cfg.xi[1])
+    for p in ps:
         sol = solve(p, cfg.quad_m)
         e = endpoint_data(sol)
         rows.append({
-            "n": cfg.n, "c": c, "xi1": cfg.xi[0], "xi2": cfg.xi[1],
+            "n": p.n, "c": p.c, "xi1": p.xi1, "xi2": p.xi2,
             "P": sol.prob, "ln_P": sol.log_prob,
             "r11": float(e.r[0, 0]), "r22": float(e.r[1, 1]),
         })
@@ -126,18 +154,16 @@ def _rows_to_csv(rows: list[dict]) -> str:
 
 
 def cmd_scan(cfg: RunConfig) -> int:
-    xi1s = _parse_grid(cfg.grid) if cfg.grid else [cfg.xi[0]]
-    xi2s = _parse_grid(cfg.grid) if cfg.grid else [cfg.xi[1]]
-    points = sorted(
-        (c, x1, x2) for c in cfg.c for x1 in xi1s for x2 in xi2s
-    )
+    try:
+        ps = _checked_points(cfg)
+    except ValueError as exc:
+        return _usage_error(cfg, exc)
     rows = []
-    for c, x1, x2 in points:
-        p = KernelParams(cfg.n, c, x1, x2)
+    for p in ps:
         sol = solve(p, cfg.quad_m)
         e = endpoint_data(sol)
         der = build_derived(e, build_quartet(e), p)
-        row = {"n": cfg.n, "c": c, "xi1": x1, "xi2": x2,
+        row = {"n": p.n, "c": p.c, "xi1": p.xi1, "xi2": p.xi2,
                "P": sol.prob, "ln_P": sol.log_prob}
         for name in SCALAR_FIELDS:
             row[name] = float(getattr(der, name))
@@ -165,24 +191,19 @@ def _checked_stencil(cfg: RunConfig) -> Stencil:
     return stencil
 
 
-def _usage_error(exc: Exception) -> int:
-    print(f"coupled-gue verify: error: {exc}", file=sys.stderr)
-    return 2
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     try:
         stencil = _checked_stencil(cfg)
     except ValueError as exc:       # StencilError is one
-        return _usage_error(exc)
+        return _usage_error(cfg, exc)
     reports = []
     try:
         for c in cfg.c:
             cache = PointCache(cfg.n)
             center = (cfg.xi[0], cfg.xi[1], c)
             reports.extend(evaluate(cache, center, stencil, ids=cfg.equations or None))
-    except StencilError as exc:     # a c-difference that leaves (0, 1)
-        return _usage_error(exc)
+    except (StencilError, gram.TailError) as exc:   # c-difference leaves (0, 1); c too near 1
+        return _usage_error(cfg, exc)
     for rep in reports:
         if cfg.tol is not None and rep.status == "ok":
             rep.tolerance = cfg.tol

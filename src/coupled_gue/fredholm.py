@@ -49,6 +49,7 @@ __all__ = [
     "FredholmError",
     "FredholmSolution",
     "EndpointData",
+    "uw_hats",
     "diag2",
     "solve",
     "resolvent_at",
@@ -117,6 +118,15 @@ class EndpointData:
     def take(self, i, params: KernelParams) -> "EndpointData":
         """Point i of a stack, with that point's params."""
         return EndpointData(params, *(getattr(self, f.name)[i] for f in fields(self)[1:]))
+
+
+def uw_hats(n: int, sig, u, w) -> tuple:
+    """(U_hat, W_hat) from u and w, at one point or on a stack; sig is sigma,
+    shaped to broadcast against the (..., 2, 2) matrices."""
+    sig_m = sig * SIGMA3
+    w_hatted = (I2 - sig_m) @ w @ (I2 + sig_m) / (1.0 - sig * sig)
+    return (math.sqrt(n / 2.0) * THETA - THETA @ u @ THETA,
+            math.sqrt(n / 2.0) * THETA + THETA @ w_hatted @ THETA)
 
 
 def _ray_tables(nodes: np.ndarray, blocks: np.ndarray, pz: np.ndarray) -> list:
@@ -292,11 +302,7 @@ def endpoint_data(sol: FredholmSolution) -> EndpointData:
     rxm = dkrow[:, size:] + (dkrow[:, :size] * wts) @ rcol
     rym = dkcol[:, size:].T + rrow_w.T @ dkcol[:, :size].T
 
-    sig = p.sigma
-    sig_m = sig * SIGMA3
-    w_hatted = (I2 - sig_m) @ wm @ (I2 + sig_m) / (1.0 - sig * sig)
-    u_hat = math.sqrt(n / 2.0) * THETA - THETA @ um @ THETA
-    w_hat = math.sqrt(n / 2.0) * THETA + THETA @ w_hatted @ THETA
+    u_hat, w_hat = uw_hats(n, p.sigma, um, wm)
 
     return EndpointData(
         params=p,

@@ -60,15 +60,17 @@ G[k, k] (phi_k^2 is even), and the other one is 1 minus it.  So the G rows
 used for q~, p~, u and w never form 1 - H[k, k] where H[k, k] is close to 1.
 
 No entry depends on t, so a table built for a longer tail serves a shorter
-one by a prefix read, with the same numbers (RayTables).  A table stores its
-four endpoint vectors as one (k_max + 1, 4) block, the right-hand sides of
-endpoint_data.  A batch builds its new endpoints at the tail of its widest
-coupling, so when one batch holds every point of a `residuals` center, each
-endpoint's table is built once.
+one by a prefix read, with the same numbers.  A table stores its four
+endpoint vectors as one (k_max + 1, 4) block, the right-hand sides of
+endpoint_data.  A batch builds the tables it reads: one per endpoint value,
+at the tail of its widest coupling, and keeps none after.  So when one batch
+holds every point of a `residuals` center, each endpoint's table is built
+once.  A coupling whose tail is longer than MAX_TAIL raises TailError before
+any table is built.
 
 Points come in batches at one n, on a leading point axis (the stencil points
-of `residuals`).  ray_tables() builds the tables of a batch's new endpoints
-in one call, stacked past the per-endpoint recurrences.  solve_batch() forms
+of `residuals`).  ray_tables() builds the tables of a batch's endpoints in
+one call, stacked past the per-endpoint recurrences.  solve_batch() forms
 the M of a batch as one stack per coupling value (one tail length), with the
 T blocks as one stacked matmul, and endpoint_batch() contracts around the
 solves with stacked matmuls; both then call LAPACK once per point: dgetrf on
@@ -89,14 +91,18 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .fredholm import I2, SIGMA3, THETA, EndpointData, FredholmError, diag2
+from .fredholm import EndpointData, FredholmError, diag2, uw_hats
 from .kernel import KernelParams
 
-__all__ = ["TAIL_EPS", "tail_length", "RayTable", "RayTables", "GramSolution",
+__all__ = ["TAIL_EPS", "MAX_TAIL", "TailError", "tail_length", "RayTable", "GramSolution",
            "ray_tables", "solve_batch", "solve", "endpoint_batch", "endpoint_data"]
 
 # The K_12 tail stops once c^t / (1 - c) drops below this; |phi_k| < 1.
 TAIL_EPS = 1e-18
+# The longest tail a batch takes, so c < 0.99533 (0.995 takes 9326 terms,
+# 0.999999 would take 5.5e7): each endpoint's table holds (n + 1) (n + t + 1)
+# entries, and the recurrence runs n + t steps.
+MAX_TAIL = 10_000
 
 _LOG_PI_4 = 0.25 * math.log(math.pi)
 
@@ -104,6 +110,10 @@ _LOG_PI_4 = 0.25 * math.log(math.pi)
 def tail_length(c: float) -> int:
     """Smallest t with c^t < TAIL_EPS (1 - c); at least 1, as TAIL_EPS < 1."""
     return math.floor(math.log(TAIL_EPS * (1.0 - c)) / math.log(c)) + 1
+
+
+class TailError(ValueError):
+    """A coupling whose K_12 tail is longer than MAX_TAIL."""
 
 
 @dataclass(frozen=True)
@@ -119,23 +129,7 @@ class RayTable:
 
     def prefix(self, k_max: int) -> "RayTable":
         k = k_max + 1
-        return RayTable(self.v[:k], self.h[:, :k])
-
-
-# Recurrence coefficients sqrt(2/(k+1)) and sqrt(k/(k+1)) for k < len, and
-# sqrt(2k) for k < _SQRT_2K.size; grown on demand, shared by every table.
-_REC_A: list = []
-_REC_B: list = []
-_SQRT_2K = np.zeros(1)
-
-
-def _coefficients(k_max: int) -> None:
-    global _SQRT_2K
-    for k in range(len(_REC_A), k_max):
-        _REC_A.append(math.sqrt(2.0 / (k + 1)))
-        _REC_B.append(math.sqrt(k / (k + 1.0)))
-    if _SQRT_2K.size <= k_max:
-        _SQRT_2K = np.sqrt(2.0 * np.arange(2 * k_max + 1))
+        return self if k == self.v.shape[0] else RayTable(self.v[:k], self.h[:, :k])
 
 
 def ray_tables(n: int, xis: list, k_max: int) -> list:
@@ -145,14 +139,16 @@ def ray_tables(n: int, xis: list, k_max: int) -> list:
     once, on a vector across the endpoints; phi_0 and erfc take math.exp
     and math.erfc per endpoint, since np.exp is not math.exp bit for bit.
     """
-    _coefficients(k_max)
     x = np.array(xis, dtype=float)
+    ks = np.arange(k_max, dtype=float)
+    rec_a = np.sqrt(2.0 / (ks + 1.0))
+    rec_b = np.sqrt(ks / (ks + 1.0)).tolist()
     phis = list(np.empty((k_max + 1, x.size)))     # phi_k at every endpoint
     phis[0][:] = [math.exp(-0.5 * xi * xi - _LOG_PI_4) for xi in xis]
     phis[1][:] = math.sqrt(2.0) * x * phis[0]
-    axi = np.multiply.outer(_REC_A[:k_max], x)
+    axi = np.multiply.outer(rec_a, x)
     for k in range(1, k_max):
-        np.subtract(axi[k] * phis[k], _REC_B[k] * phis[k - 1], out=phis[k + 1])
+        np.subtract(axi[k] * phis[k], rec_b[k] * phis[k - 1], out=phis[k + 1])
     # small[k] = int_{-inf}^{-|xi|} phi_k^2; phi_k phi_{k+1} is odd
     sign = np.where(x <= 0.0, 1.0, -1.0)
     small = [np.array([0.5 * math.erfc(abs(xi)) for xi in xis])]
@@ -167,7 +163,7 @@ def ray_tables(n: int, xis: list, k_max: int) -> list:
     g_diag = np.where(lower, 1.0 - small, small)
 
     dphi = -xi * phi
-    dphi[:, 1:] += _SQRT_2K[1:k_max + 1] * phi[:, :-1]
+    dphi[:, 1:] += np.sqrt(2.0 * np.arange(1, k_max + 1)) * phi[:, :-1]
     rows = np.arange(n + 1)
     den = 2.0 * (np.arange(k_max + 1)[None, :] - rows[:, None])
     den[rows, rows] = 1.0          # the Wronskian form holds off the diagonal only
@@ -177,41 +173,6 @@ def ray_tables(n: int, xis: list, k_max: int) -> list:
     v[..., 0], v[..., 1], v[..., 2], v[..., 3] = phi, dphi, -h[:, n], -h[:, n - 1]
     v[:, n, 2], v[:, n - 1, 3] = g_diag[:, n], g_diag[:, n - 1]
     return [RayTable(vi, hi) for vi, hi in zip(v, h)]
-
-
-class RayTables:
-    """Ray tables at one matrix size n, one per endpoint value.
-
-    A table is built at the largest k_max asked for so far; a smaller k_max
-    reads its prefix, which holds the same numbers a fresh build would.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self._tables: dict = {}
-        self._powers: dict = {}
-
-    def powers(self, c: float) -> tuple:
-        """(c^(l-n) for l = n..n + t, -c^(n-k) for k < n) at c, computed once per c."""
-        pw = self._powers.get(c)
-        if pw is None:
-            pw = self._powers[c] = (c ** np.arange(tail_length(c) + 1.0),
-                                    -(c ** (self.n - np.arange(self.n, dtype=float))))
-        return pw
-
-    def build(self, xis, k_max: int) -> None:
-        """Build, in one ray_tables call, the tables of xis that are missing or shorter than k_max."""
-        todo = [xi for xi in dict.fromkeys(xis)
-                if (tab := self._tables.get(xi)) is None or tab.k_max < k_max]
-        if todo:
-            self._tables.update(zip(todo, ray_tables(self.n, todo, k_max)))
-
-    def get(self, xi: float, k_max: int) -> RayTable:
-        tab = self._tables.get(xi)
-        if tab is None or tab.k_max < k_max:
-            self.build((xi,), k_max)
-            tab = self._tables[xi]
-        return tab if tab.k_max == k_max else tab.prefix(k_max)
 
 
 _getrf, _getrs, _gecon = sla.get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=np.float64)
@@ -245,30 +206,36 @@ class GramSolution:
         return _cond(self.mat, self.lu)
 
 
-def solve_batch(ps: list, tables: RayTables) -> list:
-    """Factor M at each point of ps (one n, that of tables), in the order of ps.
+def solve_batch(ps: list) -> list:
+    """Factor M at each point of ps (one n), in the order of ps.
 
-    The tables of every endpoint come from one ray_tables call, and M is one
-    stack per coupling value, whose T blocks are one stacked matmul.  Each M
-    then gets its own dgetrf, so a point's bits do not depend on the batch;
-    the signs and ln |det| of the LUs are read as one stack.  A non-finite M
-    raises ValueError, and otherwise the first point of ps that fails raises
-    its FredholmError.
+    The batch builds the tables of its endpoints in one ray_tables call, at
+    the tail of its widest coupling, and each coupling reads their prefix;
+    a tail longer than MAX_TAIL raises TailError first.  M is one stack per
+    coupling value, whose T blocks are one stacked matmul.  Each M then gets
+    its own dgetrf, so a point's bits do not depend on the batch; the signs
+    and ln |det| of the LUs are read as one stack.  Points at more than one
+    n, or a non-finite M, raise ValueError, and otherwise the first point of
+    ps that fails raises its FredholmError.
     """
-    n = tables.n
-    for p in ps:
-        if p.n != n:
-            raise ValueError(f"ray tables are for n={n}, not n={p.n}")
+    n = ps[0].n
+    if any(p.n != n for p in ps):
+        raise ValueError(f"a batch is at one n, got n={sorted({p.n for p in ps})}")
     groups: dict = {}
     for i, p in enumerate(ps):
         groups.setdefault(p.c, []).append(i)
-    tables.build([xi for p in ps for xi in (p.xi1, p.xi2)],
-                 max(n + tail_length(c) for c in groups))
+    c_max = max(groups, key=tail_length)
+    t_max = tail_length(c_max)
+    if t_max > MAX_TAIL:
+        raise TailError(f"c={c_max} needs a K_12 tail of {t_max} terms, "
+                        f"more than the {MAX_TAIL} a batch takes")
+    xis = list(dict.fromkeys(xi for p in ps for xi in (p.xi1, p.xi2)))
+    tables = dict(zip(xis, ray_tables(n, xis, n + t_max)))
     mats, rays, tails, finite = ([None] * len(ps) for _ in range(4))
     for c, idx in groups.items():
-        tail, minus_c = tables.powers(c)
+        tail = c ** np.arange(tail_length(c) + 1.0)      # c^(l-n), l = n..n + t
         k_max = n + tail.size - 1
-        ray = [(tables.get(ps[i].xi1, k_max), tables.get(ps[i].xi2, k_max)) for i in idx]
+        ray = [(tables[ps[i].xi1].prefix(k_max), tables[ps[i].xi2].prefix(k_max)) for i in idx]
         h1 = np.stack([r1.h[:n] for r1, _ in ray])
         h2 = np.stack([r2.h[:n] for _, r2 in ray])
         # M with both block rows and block columns swapped (the same determinant)
@@ -276,7 +243,7 @@ def solve_batch(ps: list, tables: RayTables) -> list:
         mat[:, :n, :n] = h2[:, :, :n]
         mat[:, :n, n:] = 0.0
         lo = np.arange(n)
-        mat[:, lo, n + lo] = minus_c
+        mat[:, lo, n + lo] = -(c ** (n - np.arange(n, dtype=float)))
         mat[:, n:, :n] = (h1[:, :, n:] * tail) @ h2[:, :, n:].transpose(0, 2, 1)
         mat[:, n:, n:] = h1[:, :, :n]
         ok = np.isfinite(mat).all(axis=(1, 2))
@@ -312,9 +279,9 @@ def solve_batch(ps: list, tables: RayTables) -> list:
     return sols
 
 
-def solve(p: KernelParams, tables: RayTables | None = None) -> GramSolution:
-    """Factor M at p, as a batch of one; the ray tables come from (and go to) `tables` when given."""
-    return solve_batch([p], RayTables(p.n) if tables is None else tables)[0]
+def solve(p: KernelParams) -> GramSolution:
+    """Factor M at p, as a batch of one."""
+    return solve_batch([p])[0]
 
 
 def endpoint_batch(sols: list) -> EndpointData:
@@ -367,9 +334,7 @@ def endpoint_batch(sols: list) -> EndpointData:
     wm = s * s * (diag2(top[:, 0, 0, 3], top[:, 1, 0, 3]) + x[:, :, 3, :, 3])
     p = KernelParams(n, *(np.array([getattr(sol.params, a) for sol in sols])
                           for a in ("c", "xi1", "xi2")))
-    sig = p.sigma[:, None, None]
-    sig_m = sig * SIGMA3
-    w_hatted = (I2 - sig_m) @ wm @ (I2 + sig_m) / (1.0 - sig * sig)
+    u_hat, w_hat = uw_hats(n, p.sigma[:, None, None], um, wm)
     return EndpointData(
         params=p,
         r=x[:, :, 0, :, 0],
@@ -381,8 +346,8 @@ def endpoint_batch(sols: list) -> EndpointData:
         pt=s * (phi_m + x[:, :, 3, :, 0]),
         u=um,
         w=wm,
-        U_hat=math.sqrt(n / 2.0) * THETA - THETA @ um @ THETA,
-        W_hat=math.sqrt(n / 2.0) * THETA + THETA @ w_hatted @ THETA,
+        U_hat=u_hat,
+        W_hat=w_hat,
     )
 
 

@@ -11,8 +11,7 @@ carry the residual, the magnitude scale of the constituent terms, and the
 relative residual, which is what tolerances apply to.
 
 Every point value comes from the closed-form Gram route (`gram`): a
-PointCache keeps one ray table per endpoint value and one 2n x 2n LU per
-stencil point, with no quadrature.
+PointCache keeps one 2n x 2n LU per stencil point, with no quadrature.
 
 A field is a function of one point (xi1, xi2, c), and _d_dir and _d_c sum
 its values at their offsets, in the order of the offsets.  The evaluators
@@ -20,12 +19,12 @@ are the only code that knows the stencils: evaluate() runs the requested
 groups twice, through PointCache.batched.  The first, recording pass runs
 them on NaN stand-ins and notes every point they read, and whether a point
 needs its observables or only ln P.  The recorded points are then computed
-as one batch: their ray tables, M and its LU (`gram.solve_batch`), then,
-at the points that need them, the endpoint matrices (`gram.endpoint_batch`)
-and the observables on the same leading point axis, which become one row
-of Python floats per point.  The second pass runs the groups on those
-values.  A point has the same bits in any batch, so every residual has the
-bits of a point-by-point evaluation.
+as one batch, and a batch builds the tables it reads: their ray tables, M
+and its LU (`gram.solve_batch`), then, at the points that need them, the
+endpoint matrices (`gram.endpoint_batch`) and the observables on the same
+leading point axis, which become one row of Python floats per point.  The
+second pass runs the groups on those values.  A point has the same bits in
+any batch, so every residual has the bits of a point-by-point evaluation.
 
 Equations whose natural scale collapses at a center (empty-constraint
 limits xi -> inf, or the X_3 = 0 locus xi1 = xi2) are downgraded to
@@ -41,7 +40,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .kernel import KernelParams
-from .gram import RayTables, endpoint_batch, solve_batch
+from .gram import endpoint_batch, solve_batch
 from .observables import (
     DerivedQuantities,
     build_quartet,
@@ -187,14 +186,14 @@ class _StandIn:
 class PointCache:
     """Memoizes Gram solves per (xi1, xi2, c) at one n; shared by all residuals.
 
-    The solves share one ray table per endpoint value (`gram.RayTables`).
     Points are computed a batch at a time: the points that a batched() run
-    reads, or a single point that no batch computed, when it is read.
+    reads, or a single point that no batch computed, when it is read.  A
+    batch builds the ray tables it reads, so a batched() run builds each of
+    its endpoints' tables once.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.tables = RayTables(n)
         self._points: dict = {}
         self._record = None     # key -> _StandIn, during a recording pass
 
@@ -230,7 +229,7 @@ class PointCache:
     def _solve(self, pts: list) -> None:
         todo = [p for p in pts if p.sol is None]
         if todo:
-            for p, sol in zip(todo, solve_batch([p.params for p in todo], self.tables)):
+            for p, sol in zip(todo, solve_batch([p.params for p in todo])):
                 p.sol = sol
 
     def _observe(self, pts: list) -> None:

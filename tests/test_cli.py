@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from coupled_gue import gram
 from coupled_gue.cli import COMMAND_FLAGS, RunConfig, _build_parser, main
 from coupled_gue.fredholm import FredholmError
 from coupled_gue.onematrix import solve_one_matrix
@@ -199,15 +200,48 @@ def test_verify_reports_carry_no_node_count(capsys):
     ["--equations", "nope"],                        # an unknown id
     ["--mc", "--samples", "0", "--equations", "toda00"],   # too few samples
     ["--mc", "--seed", "-1", "--equations", "toda00"],     # a seed numpy rejects
+    # c = 0.999999 takes no c-difference in toda00, but a K_12 tail of 5.5e7 terms
+    ["--c", "0.999999", "--equations", "toda00"],
+    ["--c", "0.999999", "--equations", "toda00", "--mc", "--samples", "1000"],
 ], ids=["zero-step", "nan-step", "wide-c-step", "fifth-order-near-1", "n-zero", "c-above-1",
-        "nan-xi", "unknown-id", "few-samples", "negative-seed"])
-def test_invalid_stencil_is_a_usage_error(argv, capsys):
+        "nan-xi", "unknown-id", "few-samples", "negative-seed", "long-tail", "long-tail-mc"])
+def test_invalid_stencil_is_a_usage_error(argv, capsys, monkeypatch):
+    def refused(*args):
+        raise AssertionError("ray_tables ran")
+
+    monkeypatch.setattr(gram, "ray_tables", refused)    # refused before any table is built
     code = main(["verify", *argv])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("coupled-gue verify: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["prob", "--n", "0"],                           # KernelParams rejects n < 1
+    ["prob", "--c", "1.5"],                         # c outside (0, 1)
+    ["prob", "--c", "0.5", "1.5"],                  # at any of the points
+    ["prob", "--xi", "nan", "0.3"],                 # an endpoint that is not finite
+    ["prob", "--quad-m", "4"],                      # fewer nodes than ray_grid takes
+    ["prob", "--quad-m", "513"],                    # more than gauss_legendre takes
+    ["scan", "--grid", "1:2:0"],                    # no grid point
+    ["scan", "--grid", "1:2"],                      # not a:b:steps
+    ["scan", "--grid", "1:2:x"],                    # steps not an integer
+    ["scan", "--n", "0", "--grid", "0:1:3"],
+    ["scan", "--c", "0", "--grid", "0:1:3"],
+    ["scan", "--grid", "nan:1:3"],
+    ["scan", "--quad-m", "4"],
+], ids=["prob-n-zero", "prob-c-above-1", "prob-second-c", "prob-nan-xi", "prob-few-nodes",
+        "prob-many-nodes", "scan-no-steps", "scan-two-parts", "scan-text-steps", "scan-n-zero",
+        "scan-c-zero", "scan-nan-grid", "scan-few-nodes"])
+def test_invalid_prob_or_scan_input_is_a_usage_error(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"coupled-gue {argv[0]}: error: ")
 
 
 def test_verify_echoes_the_settings_it_reads(capsys):

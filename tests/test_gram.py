@@ -79,18 +79,34 @@ def test_doubled_tail_moves_no_golden_ln_p(monkeypatch):
     assert max(abs(a - b) for a, b in zip(short, long)) < 1e-13
 
 
-def test_table_prefix_reads_give_identical_reports():
+class _WithWideCoupling(PointCache):
+    """A cache whose batches also read ln P at c = 0.9, at the endpoints (0, 0.3)."""
+
+    def batched(self, run):
+        return super().batched(lambda: (self.point(0.0, 0.3, 0.9).T, run())[1])
+
+
+def test_table_prefix_reads_give_identical_reports(monkeypatch):
     center = (0.0, 0.3, 0.5)
 
     def blob(cache):
         return json.dumps([r.to_dict() for r in evaluate(cache, center)], sort_keys=True)
 
     fresh = blob(PointCache(2))
-    cache = PointCache(2)
-    evaluate(cache, (0.0, 0.3, 0.9), ids=["toda00", "avm"])   # longer tail, same rays
-    assert cache.tables.get(0.0, 2 + gram.tail_length(0.5)).k_max < \
-        cache.tables._tables[0.0].k_max
+    k_maxes = []
+    build = gram.ray_tables
+
+    def counted(n, xis, k_max):
+        k_maxes.append(k_max)
+        return build(n, xis, k_max)
+
+    monkeypatch.setattr(gram, "ray_tables", counted)
+    cache = _WithWideCoupling(2)
     assert blob(cache) == fresh
+    # one batch, its tables built at the tail of c = 0.9 and read by the
+    # center's points as a shorter prefix
+    assert k_maxes == [2 + gram.tail_length(0.9)]
+    assert cache.point(0.0, 0.3, 0.5).sol.rays[0].k_max == 2 + gram.tail_length(0.5)
 
 
 @pytest.mark.parametrize("c", sorted(K12_POINTS))
@@ -135,7 +151,7 @@ def _bits(x) -> bytes:
 @pytest.mark.parametrize("name", sorted(BATCHES))
 def test_a_point_has_the_same_bits_alone_and_in_a_batch(name):
     ps = BATCHES[name]
-    sols = gram.solve_batch(ps, gram.RayTables(ps[0].n))
+    sols = gram.solve_batch(ps)
     e = gram.endpoint_batch(sols)
     hats = hatted_vars(e)
     der = build_derived(e, build_quartet(e, hats), e.params)
@@ -157,7 +173,7 @@ def test_a_point_has_the_same_bits_alone_and_in_a_batch(name):
 
 def test_route_warnings_are_per_point():
     ps = BATCHES["n5"][:3]
-    e = gram.endpoint_batch(gram.solve_batch(ps, gram.RayTables(5)))
+    e = gram.endpoint_batch(gram.solve_batch(ps))
     q = build_quartet(e)
     q.G = q.G.copy()
     q.G[1] += 1.0                           # only point 1's trace of G disagrees
@@ -183,18 +199,27 @@ def test_each_point_is_factored_once(monkeypatch):
     assert len(factored) == len(set(factored)) == len(cache._points)
 
 
-def test_tables_must_match_n():
-    with pytest.raises(ValueError):
-        gram.solve(KernelParams(3, 0.5, 0.0, 0.3), gram.RayTables(2))
+def test_a_batch_is_at_one_n():
+    with pytest.raises(ValueError, match="one n"):
+        gram.solve_batch([KernelParams(3, 0.5, 0.0, 0.3), KernelParams(2, 0.5, 0.0, 0.3)])
 
 
+def test_a_tail_over_the_cap_raises_before_any_table(monkeypatch):
+    def refused(*args):
+        raise AssertionError("ray_tables ran")
 
-def _eager_m_and_cond(p, tables):
+    monkeypatch.setattr(gram, "ray_tables", refused)
+    assert gram.tail_length(0.995) <= gram.MAX_TAIL < gram.tail_length(0.996)
+    with pytest.raises(gram.TailError, match="c=0.996 needs"):
+        gram.solve_batch([KernelParams(2, 0.5, 0.0, 0.3), KernelParams(2, 0.996, 0.0, 0.3)])
+
+
+def _eager_m_and_cond(p):
     """M in the swapped order, built from the ray tables, and its condition
     estimate computed eagerly: dgecon on scipy's lu_factor of M."""
     n, c = p.n, p.c
     k_max = n + gram.tail_length(c)
-    h1, h2 = (tables.get(x, k_max).h[:n] for x in (p.xi1, p.xi2))
+    h1, h2 = (tab.h[:n] for tab in gram.ray_tables(n, [p.xi1, p.xi2], k_max))
     tail = c ** np.arange(k_max - n + 1.0)
     mat = np.empty((2 * n, 2 * n))
     mat[:n, :n] = h2[:, :n]
@@ -211,10 +236,9 @@ def _eager_m_and_cond(p, tables):
 @pytest.mark.parametrize("g", GOLDEN, ids=_point_id)
 def test_cond_on_demand_is_the_eager_estimate(g):
     p = KernelParams(g["n"], g["c"], *g["xi"])
-    tables = gram.RayTables(p.n)
-    sol = gram.solve(p, tables)
+    sol = gram.solve(p)
     assert "cond" not in vars(sol)          # not computed until read
-    mat, cond = _eager_m_and_cond(p, tables)
+    mat, cond = _eager_m_and_cond(p)
     assert np.array_equal(sol.mat, mat)
     assert sol.cond == cond
 
@@ -226,10 +250,9 @@ def test_cond_on_demand_is_the_eager_estimate(g):
 ])
 def test_fredholm_errors_carry_cond(args, match):
     p = KernelParams(*args)
-    tables = gram.RayTables(p.n)
     with pytest.raises(FredholmError, match=match) as exc:
-        gram.solve(p, tables)
-    assert exc.value.cond == _eager_m_and_cond(p, tables)[1]
+        gram.solve(p)
+    assert exc.value.cond == _eager_m_and_cond(p)[1]
 
 
 def test_probability_above_one_carries_cond(monkeypatch):

@@ -59,6 +59,14 @@ def commands() -> list[list[str]]:
                  "--format", "json"])
     cmds.append(["scan", "--n", "2", "--c", "0.5", "--xi", "0.1", "0.2",
                  "--quad-m", "48"])
+    # shaped like the benchmark's scan-grid requests: three couplings on a
+    # 3 x 3 grid about the spectral edge sqrt(2n), in both formats
+    for n in (5, 10, 20):
+        s = math.sqrt(2 * n)
+        grid = f"--grid={s - 1.7:.12f}:{s + 2.1:.12f}:3"
+        for fmt in ("csv", "json"):
+            cmds.append(["scan", "--n", str(n), "--c", "0.137", "0.52", "0.94", grid,
+                         "--format", fmt])
     for n, c, x1, x2 in CENTERS:
         base = ["verify", "--n", n, "--c", c, "--xi", x1, x2]
         cmds.append(base)

@@ -5,8 +5,9 @@
 `residuals.evaluate` computes the stencil points of one center as a batch,
 through four layers:
 
-- `ray_tables`: `gram.ray_tables` on the batch's new endpoints;
-- `m_lu`: `gram.solve_batch` on tables built beforehand (M and its LU);
+- `ray_tables`: `gram.ray_tables` on the batch's endpoints;
+- `m_lu`: M and its LU, timed as `gram.solve_batch` with `gram.ray_tables`
+  swapped for a lookup of tables built beforehand;
 - `endpoint_solves`: `gram.endpoint_batch`;
 - `observables`: `hatted_vars`, `build_quartet`, `build_derived` and
   `theorem1_uw` on the stacked endpoint data.
@@ -101,9 +102,14 @@ def layers(n: int, batch: int) -> dict:
     ps = points(n, batch)
     k_max = n + gram.tail_length(C)
     xis = [xi for p in ps for xi in (p.xi1, p.xi2)]
-    tables = gram.RayTables(n)
-    sols = gram.solve_batch(ps, tables)
+    sols = gram.solve_batch(ps)
     e = gram.endpoint_batch(sols)
+    built = dict(zip(xis, gram.ray_tables(n, xis, k_max)))
+    build, gram.ray_tables = gram.ray_tables, lambda n_, todo, k: [built[xi] for xi in todo]
+    try:
+        m_lu = timed(lambda: gram.solve_batch(ps))
+    finally:
+        gram.ray_tables = build
 
     def observables():
         hats = hatted_vars(e)
@@ -112,7 +118,7 @@ def layers(n: int, batch: int) -> dict:
 
     return {
         "ray_tables": timed(lambda: gram.ray_tables(n, xis, k_max)),
-        "m_lu": timed(lambda: gram.solve_batch(ps, tables)),
+        "m_lu": m_lu,
         "endpoint_solves": timed(lambda: gram.endpoint_batch(sols)),
         "observables": timed(observables),
     }
