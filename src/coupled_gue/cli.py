@@ -19,10 +19,12 @@ not caught.
 Each command accepts only the flags it reads (COMMAND_FLAGS); any other flag
 is a usage error (exit 2).  Every default lives in RunConfig, and `verify`
 echoes the command and the settings it reads.  `prob` and `scan` solve the
-Nystrom system with --quad-m nodes per ray; `verify` takes the closed-form
-Gram route (`gram`), which has no node count.  The FD steps --fd-h and
---fd-hc apply as given to the default equations; the fifth-order ids take
-2nd-order stencils at 4x both steps.
+Nystrom system with --quad-m nodes per ray, and load scipy for its LU;
+`verify` takes the closed-form Gram route (`gram`), which has no node count
+and runs on numpy alone, so importing this module and running `verify`
+(with --mc too) loads no scipy.  The FD steps --fd-h and --fd-hc apply as
+given to the default equations; the fifth-order ids take 2nd-order stencils
+at 4x both steps.
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg as sla
 
 from .hermite import dphi_from_phi, phi_matrix
 from .kernel import KernelParams, block_dx_from_rows, block_from_rows, kernel_k_max
@@ -165,6 +164,8 @@ def solve(p: KernelParams, m: int = DEFAULT_M) -> FredholmSolution:
     sw = np.sqrt(weights)
     kmat = sw[:, None] * kfull * sw[None, :]
 
+    import scipy.linalg as sla       # loaded by the Nystrom route only
+
     mat = np.eye(2 * m) - kmat
     anorm = np.linalg.norm(mat, 1)
     lu, piv = sla.lu_factor(mat)
@@ -209,6 +210,8 @@ def _resolve(sol: FredholmSolution, rhs: np.ndarray, trans: int = 0) -> np.ndarr
     S^-1 (I - kmat)^-1 S, and (I + W R)^T = S^-1 (I - kmat)^-T S.  rhs holds
     one right-hand side per column, shape (2m, k).
     """
+    import scipy.linalg as sla
+
     sw = sol.sqrt_w[:, None]
     return sla.lu_solve((sol.lu, sol.piv), sw * rhs, trans=trans) / sw
 

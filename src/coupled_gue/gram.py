@@ -40,11 +40,11 @@ For b = e_j (x) w the same elimination gives z_2[hi] = 0 and
     z_1[l] = b_1[l] + c^(l-n) H_2[lo, l] . z_2[lo]          (l >= n)
 
 with D b in place of b.  endpoint_data() solves for the 8 right-hand sides
-w = phi(xi_j), phi'(xi_j), G_j[:, n], G_j[:, n-1] (j = 1, 2) against the one
-LU (in the swapped order) and contracts each z_i with the same four vectors at xi_i: r, r_x,
-r_y, q and p contract with phi(xi_i) or phi'(xi_i); q~, p~, u and w
-contract with G_i[:, n] or G_i[:, n-1].  The identity part of (I - K)^(-1)
-adds the delta_ij terms of q, p, q~, p~, u and w.
+w = phi(xi_j), phi'(xi_j), G_j[:, n], G_j[:, n-1] (j = 1, 2) against M (in
+the swapped order) and contracts each z_i with the same four vectors at
+xi_i: r, r_x, r_y, q and p contract with phi(xi_i) or phi'(xi_i); q~, p~, u
+and w contract with G_i[:, n] or G_i[:, n-1].  The identity part of
+(I - K)^(-1) adds the delta_ij terms of q, p, q~, p~, u and w.
 
 Per ray the tables are phi_k(xi) and phi_k'(xi) for k <= n + t, by a scalar
 recurrence, and rows 0..n of H; the columns n and n-1 are those rows by
@@ -73,13 +73,16 @@ of `residuals`).  ray_tables() builds the tables of a batch's endpoints in
 one call, stacked past the per-endpoint recurrences.  solve_batch() forms
 the M of a batch as one stack per coupling value (one tail length), with the
 T blocks as one stacked matmul, and endpoint_batch() contracts around the
-solves with stacked matmuls; both then call LAPACK once per point: dgetrf on
-M (after the finiteness check that scipy's lu_factor makes), and dgetrs for
-its 8 right-hand sides.  So a point has the same bits alone and in any
-batch, and the first failing point of a batch raises its FredholmError.
-solve() and endpoint_data() are batches of one.  The condition estimate
-(dgecon) is computed only when GramSolution.cond is read, and on the paths
-that raise FredholmError.
+solves with stacked matmuls.  The linear algebra is numpy.linalg on stacks,
+which calls LAPACK once per matrix: solve_batch() reads every point's sign
+and ln |det M| from one np.linalg.slogdet (after a finiteness check), and
+endpoint_batch() solves each coupling's 8 right-hand sides per point with
+one np.linalg.solve on the kept M.  So a point has the same bits alone and
+in any batch, and the first failing point of a batch raises its
+FredholmError.  solve() and endpoint_data() are batches of one.  The
+condition estimate (dgecon on scipy's LU of M) is computed only when
+GramSolution.cond is read, and on the paths that raise FredholmError; it is
+the only use of scipy here, and it loads scipy.linalg when first run.
 """
 
 from __future__ import annotations
@@ -89,7 +92,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .fredholm import EndpointData, FredholmError, diag2, uw_hats
 from .kernel import KernelParams
@@ -175,25 +177,27 @@ def ray_tables(n: int, xis: list, k_max: int) -> list:
     return [RayTable(vi, hi) for vi, hi in zip(v, h)]
 
 
-_getrf, _getrs, _gecon = sla.get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=np.float64)
+def _cond(mat: np.ndarray) -> float:
+    """1-norm condition estimate of mat: LAPACK dgecon on its dgetrf factors.
 
+    scipy.linalg is imported here, so a run that reads no condition number
+    never loads it.
+    """
+    import scipy.linalg as sla
 
-def _cond(mat: np.ndarray, lu: np.ndarray) -> float:
-    """1-norm condition estimate of mat from its LU factors (LAPACK dgecon)."""
-    rcond, _ = _gecon(lu, np.linalg.norm(mat, 1), norm="1")
+    getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), dtype=np.float64)
+    rcond, _ = gecon(getrf(mat)[0], np.linalg.norm(mat, 1), norm="1")
     return math.inf if rcond == 0.0 else 1.0 / rcond
 
 
 @dataclass
 class GramSolution:
-    """LU of M at one parameter point, with the ray tables it was built from."""
+    """M at one parameter point, its ln det, and the ray tables it was built from."""
 
     params: KernelParams
     rays: tuple          # (RayTable at xi_1, RayTable at xi_2), indices 0..n + t
     tail: np.ndarray     # (t + 1,) c^(l-n) for l = n..n + t
-    mat: np.ndarray      # (2n, 2n) [[H_2, -C], [T, H_1]], kept for cond
-    lu: np.ndarray       # (2n, 2n) LU factors of mat
-    piv: np.ndarray      # (2n,) pivot indices of lu
+    mat: np.ndarray      # (2n, 2n) [[H_2, -C], [T, H_1]], for endpoint solves and cond
     log_prob: float      # ln det M; solve() raises unless 0 < det M <= 1
 
     @property
@@ -203,20 +207,20 @@ class GramSolution:
     @cached_property
     def cond(self) -> float:
         """1-norm condition estimate of M, computed when first read."""
-        return _cond(self.mat, self.lu)
+        return _cond(self.mat)
 
 
 def solve_batch(ps: list) -> list:
-    """Factor M at each point of ps (one n), in the order of ps.
+    """M and ln det M at each point of ps (one n), in the order of ps.
 
     The batch builds the tables of its endpoints in one ray_tables call, at
     the tail of its widest coupling, and each coupling reads their prefix;
     a tail longer than MAX_TAIL raises TailError first.  M is one stack per
-    coupling value, whose T blocks are one stacked matmul.  Each M then gets
-    its own dgetrf, so a point's bits do not depend on the batch; the signs
-    and ln |det| of the LUs are read as one stack.  Points at more than one
-    n, or a non-finite M, raise ValueError, and otherwise the first point of
-    ps that fails raises its FredholmError.
+    coupling value, whose T blocks are one stacked matmul.  The signs and
+    ln |det M| come from one np.linalg.slogdet on the stack of every M,
+    which factors each M alone, so a point's bits do not depend on the
+    batch.  Points at more than one n, or a non-finite M, raise ValueError,
+    and otherwise the first point of ps that fails raises its FredholmError.
     """
     n = ps[0].n
     if any(p.n != n for p in ps):
@@ -231,7 +235,7 @@ def solve_batch(ps: list) -> list:
                         f"more than the {MAX_TAIL} a batch takes")
     xis = list(dict.fromkeys(xi for p in ps for xi in (p.xi1, p.xi2)))
     tables = dict(zip(xis, ray_tables(n, xis, n + t_max)))
-    mats, rays, tails, finite = ([None] * len(ps) for _ in range(4))
+    mats, rays, tails = ([None] * len(ps) for _ in range(3))
     for c, idx in groups.items():
         tail = c ** np.arange(tail_length(c) + 1.0)      # c^(l-n), l = n..n + t
         k_max = n + tail.size - 1
@@ -246,41 +250,32 @@ def solve_batch(ps: list) -> list:
         mat[:, lo, n + lo] = -(c ** (n - np.arange(n, dtype=float)))
         mat[:, n:, :n] = (h1[:, :, n:] * tail) @ h2[:, :, n:].transpose(0, 2, 1)
         mat[:, n:, n:] = h1[:, :, :n]
-        ok = np.isfinite(mat).all(axis=(1, 2))
         for j, i in enumerate(idx):
-            mats[i], rays[i], tails[i], finite[i] = mat[j], ray[j], tail, ok[j]
+            mats[i], rays[i], tails[i] = mat[j], ray[j], tail
 
-    # the checks of scipy's lu_factor, then one dgetrf per M
-    if not all(finite):
+    stack = np.stack(mats)
+    if not np.isfinite(stack).all():
         raise ValueError("array must not contain infs or NaNs")
-    lus = [_getrf(mat) for mat in mats]
-    diag = np.array([lu.diagonal() for lu, _, _ in lus])
-    swaps = np.count_nonzero(np.array([piv for _, piv, _ in lus]) != np.arange(2 * n), axis=1)
-    # det M < 0 iff the row swaps and the negative pivots are odd in number
-    odd = ((swaps + np.count_nonzero(diag < 0.0, axis=1)) % 2).tolist()
-    with np.errstate(divide="ignore"):          # a zero pivot raises below
-        log_probs = np.log(np.abs(diag)).sum(axis=1).tolist()
+    signs, log_dets = np.linalg.slogdet(stack)
     sols = []
-    for p, ray, tail, mat, (lu, piv, info), sign, log_prob in zip(
-            ps, rays, tails, mats, lus, odd, log_probs):
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dgetrf")
-        if info > 0:                      # a pivot is exactly zero
-            raise FredholmError("M is numerically singular", cond=_cond(mat, lu))
-        if sign:
-            cond = _cond(mat, lu)
+    for p, ray, tail, mat, sign, log_prob in zip(
+            ps, rays, tails, mats, signs.tolist(), log_dets.tolist()):
+        if sign == 0.0:                   # a pivot is exactly zero
+            raise FredholmError("M is numerically singular", cond=_cond(mat))
+        if sign < 0.0:
+            cond = _cond(mat)
             raise FredholmError(f"det M has non-positive sign (cond ~ {cond:.3e})", cond=cond)
         if log_prob > 0.0:
-            cond = _cond(mat, lu)
+            cond = _cond(mat)
             raise FredholmError(
                 f"ln det M = {log_prob:.6g} > 0, a probability above 1 (cond ~ {cond:.3e})",
                 cond=cond)
-        sols.append(GramSolution(p, ray, tail, mat, lu, piv, log_prob))
+        sols.append(GramSolution(p, ray, tail, mat, log_prob))
     return sols
 
 
 def solve(p: KernelParams) -> GramSolution:
-    """Factor M at p, as a batch of one."""
+    """M and ln det M at p, as a batch of one."""
     return solve_batch([p])[0]
 
 
@@ -289,9 +284,9 @@ def endpoint_batch(sols: list) -> EndpointData:
     leading axis in the order of sols: each field is (len(sols), 2, 2), and
     params holds arrays of c, xi1 and xi2.
 
-    Each point gets its own dgetrs for 8 right-hand sides; the contractions
-    around it are stacked matmuls, one stack per coupling value (a tail
-    length).
+    Each coupling value (a tail length) solves the 8 right-hand sides of
+    its points with one np.linalg.solve on their stacked M, which factors
+    each M alone; the contractions around it are stacked matmuls.
     """
     n = sols[0].params.n
     s = (n / 2.0) ** 0.25
@@ -307,15 +302,12 @@ def endpoint_batch(sols: list) -> EndpointData:
         v2 = np.stack([sol.rays[1].v for sol in g])
         b1hi = -e * v2[:, n:]             # b_1[hi] of D b for b = e_2 (x) w; 0 for e_1
 
-        # in the swapped order: block-2 equations and z_2[lo] first; each
-        # point's right-hand side is Fortran-ordered, as dgetrs takes it
-        rhs = np.zeros((len(g), 8, 2 * n)).transpose(0, 2, 1)
+        # in the swapped order: block-2 equations and z_2[lo] first
+        rhs = np.zeros((len(g), 2 * n, 8))
         rhs[:, :n, 4:] = v2[:, :n]
         rhs[:, n:, :4] = v1[:, :n]
         rhs[:, n:, 4:] = -np.stack([sol.rays[0].h[:n, n:] for sol in g]) @ b1hi
-        z = rhs
-        for j, sol in enumerate(g):
-            z[j] = _getrs(sol.lu, sol.piv, rhs[j], overwrite_b=True)[0]
+        z = np.linalg.solve(np.stack([sol.mat for sol in g]), rhs)
         z2lo, z1lo = z[:, :n], z[:, n:]
         h2hi = np.stack([sol.rays[1].h[:n, n:] for sol in g])
         z1hi = e * (h2hi.transpose(0, 2, 1) @ z2lo)

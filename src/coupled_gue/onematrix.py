@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .hermite import phi_matrix
 from .quadrature import DEFAULT_M, ray_grid
@@ -47,6 +46,7 @@ class OneMatrixData:
 
 def solve_one_matrix(n: int, xi: float, m: int = DEFAULT_M) -> OneMatrixData:
     """Scalar Nystrom solve of det(I - K_n) on (xi, inf)."""
+    import scipy.linalg as sla       # loaded by the oracle only
     grid = ray_grid(xi, n, m)
     z, wts = grid.nodes, grid.weights
     sw = np.sqrt(wts)

@@ -11,7 +11,8 @@ carry the residual, the magnitude scale of the constituent terms, and the
 relative residual, which is what tolerances apply to.
 
 Every point value comes from the closed-form Gram route (`gram`): a
-PointCache keeps one 2n x 2n LU per stencil point, with no quadrature.
+PointCache keeps one 2n x 2n matrix M and its ln det per stencil point, with
+no quadrature.
 
 A field is a function of one point (xi1, xi2, c), and _d_dir and _d_c sum
 its values at their offsets, in the order of the offsets.  The evaluators
@@ -20,7 +21,7 @@ groups twice, through PointCache.batched.  The first, recording pass runs
 them on NaN stand-ins and notes every point they read, and whether a point
 needs its observables or only ln P.  The recorded points are then computed
 as one batch, and a batch builds the tables it reads: their ray tables, M
-and its LU (`gram.solve_batch`), then, at the points that need them, the
+and ln det M (`gram.solve_batch`), then, at the points that need them, the
 endpoint matrices (`gram.endpoint_batch`) and the observables on the same
 leading point axis, which become one row of Python floats per point.  The
 second pass runs the groups on those values.  A point has the same bits in

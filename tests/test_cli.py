@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coupled_gue
 from coupled_gue import gram
 from coupled_gue.cli import COMMAND_FLAGS, RunConfig, _build_parser, main
 from coupled_gue.fredholm import FredholmError
@@ -134,6 +139,33 @@ def test_verify_mc_rows(capsys):
     assert {"p_mc", "stderr", "p_fredholm", "within_4_stderr"} <= set(row)
     assert row["within_4_stderr"] is True
     assert code == 0
+
+
+# A fresh interpreter runs the default verify and one verify --mc, lists the
+# scipy modules loaded by then, and runs the default prob last.
+_FRESH_CLI = """
+import contextlib, io, json, sys
+from coupled_gue import cli
+codes = []
+for argv in (["verify"], ["verify", "--mc", "--samples", "2000", "--seed", "3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes.append(cli.main(["prob"]))
+print(json.dumps({"codes": codes, "scipy": scipy, "prob": out.getvalue()}))
+"""
+
+
+def test_verify_runs_without_scipy(capsys):
+    src = str(Path(coupled_gue.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_CLI], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+    child = json.loads(proc.stdout)
+    assert child["codes"] == [0, 0, 0]
+    assert child["scipy"] == []
+    assert child["prob"] == run_cli(capsys, "prob")[1]
 
 
 def test_usage_error_exit():

@@ -185,18 +185,32 @@ def test_route_warnings_are_per_point():
     assert alone.warnings == d.warnings[1]
 
 
+def _count_calls(monkeypatch, name, size):
+    """The (size, size) matrices passed to np.linalg.<name>, one bytes entry each."""
+    seen = []
+    fn = getattr(np.linalg, name)
+
+    def counted(a, *args):
+        if a.shape[-2:] == (size, size):
+            seen.extend(m.tobytes() for m in a.reshape(-1, size, size))
+        return fn(a, *args)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return seen
+
+
 def test_each_point_is_factored_once(monkeypatch):
-    factored = []
-    getrf = gram._getrf
-
-    def counted(mat):
-        factored.append(mat.tobytes())
-        return getrf(mat)
-
-    monkeypatch.setattr(gram, "_getrf", counted)
+    # every point's M enters one determinant, and the M of every point whose
+    # endpoint data is read enters one solve
+    dets = _count_calls(monkeypatch, "slogdet", 10)
+    solves = _count_calls(monkeypatch, "solve", 10)
     cache = PointCache(5)
     evaluate(cache, (3.1, 2.5, 0.55), include_higher=True)
-    assert len(factored) == len(set(factored)) == len(cache._points)
+    observed = [p for p in cache._points.values() if p.row is not None]
+    assert 0 < len(observed) < len(cache._points)
+    assert len(dets) == len(set(dets)) == len(cache._points)
+    assert len(solves) == len(set(solves)) == len(observed)
+    assert set(solves) == {p.sol.mat.tobytes() for p in observed}
 
 
 def test_a_batch_is_at_one_n():
@@ -256,15 +270,14 @@ def test_fredholm_errors_carry_cond(args, match):
 
 
 def test_probability_above_one_carries_cond(monkeypatch):
-    # no point is known where ln det M rounds above 0, so scale a pivot up
-    getrf = gram._getrf
+    # no point is known where ln det M rounds above 0, so scale the determinant up
+    slogdet = np.linalg.slogdet
 
-    def scaled(mat):
-        lu, piv, info = getrf(mat)
-        lu[0, 0] *= 1e3
-        return lu, piv, info
+    def scaled(a):
+        sign, log_det = slogdet(a)
+        return sign, log_det + math.log(1e3)
 
-    monkeypatch.setattr(gram, "_getrf", scaled)
+    monkeypatch.setattr(np.linalg, "slogdet", scaled)
     with pytest.raises(FredholmError, match="> 0") as exc:
         gram.solve(KernelParams(2, 0.5, 2.0, 2.5))
     assert exc.value.cond >= 1.0

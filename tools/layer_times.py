@@ -6,9 +6,12 @@
 through four layers:
 
 - `ray_tables`: `gram.ray_tables` on the batch's endpoints;
-- `m_lu`: M and its LU, timed as `gram.solve_batch` with `gram.ray_tables`
-  swapped for a lookup of tables built beforehand;
-- `endpoint_solves`: `gram.endpoint_batch`;
+- `m_lu`: M and ln det M (one stacked `np.linalg.slogdet`, an LU per
+  point), timed as `gram.solve_batch` with `gram.ray_tables` swapped for a
+  lookup of tables built beforehand;
+- `endpoint_solves`: `gram.endpoint_batch`, whose one stacked
+  `np.linalg.solve` per coupling value factors each point's M again for
+  its 8 right-hand sides, and the contractions around it;
 - `observables`: `hatted_vars`, `build_quartet`, `build_derived` and
   `theorem1_uw` on the stacked endpoint data.
 
@@ -24,6 +27,14 @@ the edge, (sqrt(2n) - 0.3, sqrt(2n) + 0.2, c = 0.5), for each n, once with
 the default ids and once with the fifth-order ids; on a fresh `PointCache`
 (the batch and both passes over the stencils) and on a full one (the two
 passes alone).  BLAS runs on one thread.
+
+The `setup` record is the start-up of one `coupled-gue verify` process: in
+each of SETUP_PROCESSES fresh interpreters, the import of `coupled_gue.cli`
+plus one default `verify`, timed from before the import.  It gives the
+median and minimum seconds, whether any of them loaded scipy, and the median
+peak resident set, read from VmHWM in the child's /proc/self/status (null
+where the system has none).  VmHWM starts afresh at exec, whereas the
+ru_maxrss of getrusage carries over the parent's peak across fork and exec.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ import math
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -59,6 +71,22 @@ C = 0.5
 STEP = 5e-3          # the default endpoint step of the verify stencils
 REPEATS = 7
 REPEAT_SECONDS = 0.02
+SETUP_PROCESSES = 7
+
+# Run in a fresh interpreter; prints one JSON line.
+SETUP_CHILD = """
+import contextlib, io, json, sys, time
+t0 = time.perf_counter()
+from coupled_gue import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["verify"])
+seconds = time.perf_counter() - t0
+peak_mb = None
+with contextlib.suppress(OSError), open("/proc/self/status") as fh:
+    peak_mb = next((int(ln.split()[1]) / 1024.0 for ln in fh if ln.startswith("VmHWM:")), None)
+print(json.dumps({"seconds": seconds, "rc": rc, "scipy": "scipy" in sys.modules,
+                  "peak_mb": peak_mb}))
+"""
 
 
 def environment() -> dict:
@@ -124,6 +152,22 @@ def layers(n: int, batch: int) -> dict:
     }
 
 
+def setup() -> dict:
+    """Start-up of `verify` over SETUP_PROCESSES fresh interpreters."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    runs = [json.loads(subprocess.run([sys.executable, "-c", SETUP_CHILD], capture_output=True,
+                                      text=True, check=True,
+                                      env={**os.environ, "PYTHONPATH": path}).stdout)
+            for _ in range(SETUP_PROCESSES)]
+    seconds = [r["seconds"] for r in runs]
+    peaks = [r["peak_mb"] for r in runs if r["peak_mb"] is not None]
+    return {"command": "verify", "processes": SETUP_PROCESSES,
+            "exit_codes": sorted({r["rc"] for r in runs}),
+            "median_s": round(statistics.median(seconds), 4), "min_s": round(min(seconds), 4),
+            "scipy_loaded": any(r["scipy"] for r in runs),
+            "peak_rss_mb": round(statistics.median(peaks), 1) if peaks else None}
+
+
 def stencils(n: int) -> list:
     """evaluate at the center of points(n, 1), on a fresh and on a full cache."""
     p = points(n, 1)[0]
@@ -156,11 +200,13 @@ def main() -> int:
                     "min_us_per_point": round(1e6 * t["min"] / batch, 2),
                 })
     residual_stencils = [row for n in SIZES for row in stencils(n)]
+    start = setup()
     result = {
         "script": "tools/layer_times.py",
         "environment": environment(),
-        "setup": {"c": C, "endpoint_step": STEP, "repeats": REPEATS, "sizes": list(SIZES),
-                  "batches": list(BATCHES)},
+        "config": {"c": C, "endpoint_step": STEP, "repeats": REPEATS, "sizes": list(SIZES),
+                   "batches": list(BATCHES)},
+        "setup": start,
         "layers": rows,
         "residual_stencils": residual_stencils,
     }
@@ -168,6 +214,7 @@ def main() -> int:
     for layer, entries in rows.items():
         print(layer, " ".join(f"n={r['n']}/b={r['batch']}:{r['median_us_per_point']}us"
                               for r in entries))
+    print("setup", " ".join(f"{k}={v}" for k, v in start.items()))
     print("residual_stencils", " ".join(f"n={r['n']}/{r['ids']}/{r['cache']}:{r['median_us']}us"
                                         for r in residual_stencils))
     return 0
