@@ -13,8 +13,8 @@ with steps >= 1, and a --quad-m outside [8, 512].  `verify` checks a stencil
 step that is not positive and finite, parameters KernelParams rejects, an
 unknown equation id, too few --samples or a negative --seed before anything
 is evaluated; then a c-difference that leaves (0, 1) at a center, and a
-coupling whose K_12 tail is longer than gram.MAX_TAIL.  A FredholmError is
-not caught.
+coupling whose K_12 tail is longer than gram.MAX_TAIL, and an (n, c) where
+theorem 1's U and W scales overflow a float.  A FredholmError is not caught.
 
 Each command accepts only the flags it reads (COMMAND_FLAGS); any other flag
 is a usage error (exit 2).  Every default lives in RunConfig, and `verify`
@@ -204,7 +204,8 @@ def cmd_verify(cfg: RunConfig) -> int:
             cache = PointCache(cfg.n)
             center = (cfg.xi[0], cfg.xi[1], c)
             reports.extend(evaluate(cache, center, stencil, ids=cfg.equations or None))
-    except (StencilError, gram.TailError) as exc:   # c-difference leaves (0, 1); c too near 1
+    # a c-difference leaves (0, 1); c too near 1; theorem 1's U/W scales overflow
+    except (StencilError, gram.TailError, OverflowError) as exc:
         return _usage_error(cfg, exc)
     for rep in reports:
         if cfg.tol is not None and rep.status == "ok":

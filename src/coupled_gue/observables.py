@@ -371,11 +371,15 @@ def tau_ratios(e: EndpointData, p: KernelParams) -> tuple[float, float]:
 
 
 def _uw_scales(n: int, c: float) -> tuple[float, float]:
-    """The factors of Tr U_hat in U and of Tr W_hat in W at one c."""
+    """The factors of Tr U_hat in U and of Tr W_hat in W at one c; OverflowError
+    where one of them does not fit a float."""
     root = math.sqrt(2.0 * n)
-    up_c, dn_c = tau_ratio_consts(n, c)
-    return ((1.0 - c * c) ** (n + 0.5) * up_c / root,
-            (1.0 - c * c) ** (-(n - 0.5)) * dn_c / root)
+    try:
+        up_c, dn_c = tau_ratio_consts(n, c)
+        return ((1.0 - c * c) ** (n + 0.5) * up_c / root,
+                (1.0 - c * c) ** (-(n - 0.5)) * dn_c / root)
+    except OverflowError:
+        raise OverflowError(f"theorem 1's U and W scales overflow a float at n={n}, c={c}") from None
 
 
 def theorem1_uw(e: EndpointData, p: KernelParams, hats: tuple | None = None) -> dict:

@@ -10,22 +10,23 @@ differences, so they take 2nd-order stencils at 4x both steps.  Reports
 carry the residual, the magnitude scale of the constituent terms, and the
 relative residual, which is what tolerances apply to.
 
-Every point value comes from the closed-form Gram route (`gram`): a
-PointCache keeps one 2n x 2n matrix M and its ln det per stencil point, with
-no quadrature.
+Every point value comes from the closed-form Gram route (`gram`), with no
+quadrature.  A PointCache holds values only: T = ln P + ln tau_n per stencil
+point, and a row of observables per point whose row was read.
 
 A field is a function of one point (xi1, xi2, c), and _d_dir and _d_c sum
 its values at their offsets, in the order of the offsets.  The evaluators
 are the only code that knows the stencils: evaluate() runs the requested
-groups twice, through PointCache.batched.  The first, recording pass runs
-them on NaN stand-ins and notes every point they read, and whether a point
-needs its observables or only ln P.  The recorded points are then computed
-as one batch, and a batch builds the tables it reads: their ray tables, M
-and ln det M (`gram.solve_batch`), then, at the points that need them, the
-endpoint matrices (`gram.endpoint_batch`) and the observables on the same
-leading point axis, which become one row of Python floats per point.  The
-second pass runs the groups on those values.  A point has the same bits in
-any batch, so every residual has the bits of a point-by-point evaluation.
+groups twice, through PointCache.batched.  In the first, recording pass
+every value reads NaN, and the cache notes every point the groups read and
+whether they read its row or only T.  What the cache lacks of those reads
+is then computed as one batch, and a batch builds the tables it reads:
+their ray tables, M and ln det M (`gram.solve_batch`), then, at the points
+whose row was read, the endpoint matrices (`gram.endpoint_batch`) and the
+observables on the same leading point axis, which become one row of Python
+floats per point.  The second pass runs the groups on those values.  A
+point has the same bits in any batch, so every residual has the bits of a
+point-by-point evaluation.
 
 Equations whose natural scale collapses at a center (empty-constraint
 limits xi -> inf, or the X_3 = 0 locus xi1 = xi2) are downgraded to
@@ -137,118 +138,80 @@ class ResidualReport:
 
 # One point's values as Python floats, its 2x2 matrices as nested lists: the
 # fields of DerivedQuantities, theorem 1's U and W with their first
-# derivatives, and r.  A stand-in reads NaN in every value.
+# derivatives, and r.  The recording pass reads NaN in every value.
 _Row = namedtuple("_Row", [f.name for f in fields(DerivedQuantities)]
                   + ["U", "W", "DpU", "DmU", "DpW", "DmW", "r"])
 _NAN_ROW = _Row._make([[math.nan] * 2] * 2 if k in ("r", "dp_r", "dm_r") else math.nan
                       for k in _Row._fields)
 
 
-class _Point:
-    """One stencil point: its Gram solution, and its row of values once
-    observed.  PointCache fills both in batches; a point no batch computed
-    is computed when read, as a batch of one."""
-
-    __slots__ = ("cache", "params", "sol", "row")
-
-    def __init__(self, cache: "PointCache", params: KernelParams):
-        self.cache, self.params = cache, params
-        self.sol = self.row = None
-
-    @property
-    def derived(self) -> _Row:
-        if self.row is None:
-            self.cache._observe([self])
-        return self.row
-
-    @property
-    def T(self) -> float:
-        if self.sol is None:
-            self.cache._solve([self])
-        return self.sol.log_prob + log_tau_n(self.params.n, self.params.c)
-
-
-class _StandIn:
-    """A point in the recording pass of PointCache.batched: NaN values, and
-    whether its observables were read (else only ln P was)."""
-
-    __slots__ = ("observed",)
-    T = math.nan
-
-    def __init__(self):
-        self.observed = False
-
-    @property
-    def derived(self) -> _Row:
-        self.observed = True
-        return _NAN_ROW
-
-
 class PointCache:
-    """Memoizes Gram solves per (xi1, xi2, c) at one n; shared by all residuals.
+    """The values of the Gram route per (xi1, xi2, c) at one n, shared by all
+    residuals: T = ln P + ln tau_n at every point a batch solved, and the row
+    of values at every point whose row was read.
 
-    Points are computed a batch at a time: the points that a batched() run
-    reads, or a single point that no batch computed, when it is read.  A
-    batch builds the ray tables it reads, so a batched() run builds each of
-    its endpoints' tables once.
+    Only batched() fills it.  A batch builds the ray tables it reads, so a
+    batched() run builds each of its endpoints' tables once.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self._points: dict = {}
-        self._record = None     # key -> _StandIn, during a recording pass
+        self._T: dict = {}
+        self._rows: dict = {}
+        self._record = None     # key -> whether its row was read, during a recording pass
 
-    def point(self, xi1: float, xi2: float, c: float):
+    def point(self, xi1: float, xi2: float, c: float) -> _Row:
+        """The point's row of values."""
         key = (xi1, xi2, c)
         if self._record is not None:
-            s = self._record.get(key)
-            if s is None:
-                s = self._record[key] = _StandIn()
-            return s
-        p = self._points.get(key)
-        if p is None:
-            p = self._points[key] = _Point(self, KernelParams(self.n, c, xi1, xi2))
-        return p
+            self._record[key] = True
+            return _NAN_ROW
+        return self._rows[key]
+
+    def T(self, xi1: float, xi2: float, c: float) -> float:
+        """ln P + ln tau_n at the point."""
+        key = (xi1, xi2, c)
+        if self._record is not None:
+            self._record.setdefault(key, False)
+            return math.nan
+        return self._T[key]
 
     def batched(self, run):
-        """run() twice, and the second result: first on NaN stand-ins, which
-        records every point it reads; then, after the recorded points are
-        computed as one batch (observables where run read them, ln P
-        elsewhere), on their values.  Which points run reads must not depend
-        on their values.  Not reentrant."""
+        """run() twice, and the second result.  The first, recording pass
+        reads NaN for every value and notes every point run reads, and
+        whether it reads the row or only T.  One batch then computes what
+        the cache lacks of those reads: it solves each such point, one held
+        for T only and now read for its row included (a point has the same
+        bits in any batch), and builds the rows that were read.  The second
+        pass reads the values.  Which points run reads must not depend on
+        their values: a read the recording missed raises KeyError.  Not
+        reentrant."""
         self._record = {}
         try:
             run()
             recorded = self._record
         finally:
             self._record = None
-        pts = [self.point(*key) for key in recorded]
-        self._solve(pts)
-        self._observe([p for p, s in zip(pts, recorded.values()) if s.observed])
+        todo = [k for k, observed in recorded.items()
+                if k not in (self._rows if observed else self._T)]
+        if todo:
+            sols = solve_batch([KernelParams(self.n, c, x1, x2) for x1, x2, c in todo])
+            for key, sol in zip(todo, sols):
+                self._T[key] = sol.log_prob + log_tau_n(self.n, key[2])
+            seen = [(key, sol) for key, sol in zip(todo, sols) if recorded[key]]
+            if seen:
+                e = endpoint_batch([sol for _, sol in seen])
+                hats = hatted_vars(e)
+                vals = {**vars(build_derived(e, build_quartet(e, hats), e.params)),
+                        **theorem1_uw(e, e.params, hats), "r": e.r}
+                cols = (vals[k] for k in _Row._fields)
+                rows = zip(*(v.tolist() if isinstance(v, np.ndarray) else v for v in cols))
+                self._rows.update(zip((key for key, _ in seen), map(_Row._make, rows)))
         return run()
-
-    def _solve(self, pts: list) -> None:
-        todo = [p for p in pts if p.sol is None]
-        if todo:
-            for p, sol in zip(todo, solve_batch([p.params for p in todo])):
-                p.sol = sol
-
-    def _observe(self, pts: list) -> None:
-        todo = [p for p in pts if p.row is None]
-        if todo:
-            self._solve(todo)
-            e = endpoint_batch([p.sol for p in todo])
-            hats = hatted_vars(e)
-            vals = {**vars(build_derived(e, build_quartet(e, hats), e.params)),
-                    **theorem1_uw(e, e.params, hats), "r": e.r}
-            cols = (vals[k] for k in _Row._fields)
-            rows = zip(*(v.tolist() if isinstance(v, np.ndarray) else v for v in cols))
-            for p, row in zip(todo, rows):
-                p.row = _Row(*row)
 
     def f(self, name: str):
         """The field (xi1, xi2, c) -> the value `name` of the point's row."""
-        return lambda x1, x2, c: getattr(self.point(x1, x2, c).derived, name)
+        return lambda x1, x2, c: getattr(self.point(x1, x2, c), name)
 
 
 def _d_dir(f, x1, x2, c, direction, h, order=4):
@@ -309,7 +272,7 @@ def _degenerate_guard(eq_id, d, *, x3=False, a2f=False, delta=None):
 
 def _eval_toda00(cache, center, st, eq_id="toda00", tol=1e-6):
     x1, x2, c = center
-    d = cache.point(x1, x2, c).derived
+    d = cache.point(x1, x2, c)
     sig2 = d.sigma2
     lhs = (1.0 + c) ** 2 / 4.0 * (d.dp_rt - sig2 * d.dm_r3)
     uw_prod = d.tr_U * d.tr_W / 4.0
@@ -322,7 +285,7 @@ def _eval_toda00(cache, center, st, eq_id="toda00", tol=1e-6):
 
 def _eval_cor_x(cache, center, st, tol=1e-6):
     x1, x2, c = center
-    d = cache.point(x1, x2, c).derived
+    d = cache.point(x1, x2, c)
     terms = [d.Phi_t * d.Phi_3, 2.0 * d.X_t * d.X_3 * d.F_hat, d.G_t * d.G_3]
     res = terms[0] - terms[1] - terms[2]
     status = _degenerate_guard("cor_x", d, x3=True)
@@ -345,7 +308,7 @@ def _a2t_exact(d, c, tilde=False):
 def _eval_theorem1(cache, center, st, tol=1e-4):
     x1, x2, c = center
     st.check_c(c)
-    d = cache.point(x1, x2, c).derived
+    d = cache.point(x1, x2, c)
     a2t = _a2t_exact(d, c)
     at2t = _a2t_exact(d, c, tilde=True)
 
@@ -353,7 +316,7 @@ def _eval_theorem1(cache, center, st, tol=1e-4):
         """A (sign +1) or At (sign -1) applied to the field U or W."""
         def fval(a, b, cc):
             s = (1.0 - cc) / (1.0 + cc)
-            u = cache.point(a, b, cc).derived
+            u = cache.point(a, b, cc)
             return (1.0 + cc) / 2.0 * (getattr(u, "Dp" + which)
                                        + sign * s * getattr(u, "Dm" + which))
         return fval
@@ -384,14 +347,11 @@ def _eval_theorem1(cache, center, st, tol=1e-4):
 
 def _a0t_field(cache, hc, tilde=False):
     """A_0 T (or At_0 T) as a field; the c-derivative is 2nd-order FD."""
-    def t_field(x1, x2, c):
-        return cache.point(x1, x2, c).T
-
     def fval(x1, x2, c):
-        d = cache.point(x1, x2, c).derived
+        d = cache.point(x1, x2, c)
         r_t, r_3 = d.r_t, d.r_3
         return _a0(x1, x2, c, (r_t + r_3) / 2.0, (r_t - r_3) / 2.0,
-                   _d_c(t_field, x1, x2, c, hc), tilde)
+                   _d_c(cache.T, x1, x2, c, hc), tilde)
 
     return fval
 
@@ -405,7 +365,7 @@ def _g_field(cache, st, tilde=False, order=4):
     sign = -1.0 if tilde else 1.0
 
     def fval(a, b, cc):
-        d = cache.point(a, b, cc).derived
+        d = cache.point(a, b, cc)
         s = math.sqrt(d.sigma2)
         a_t = (1.0 + cc) / 2.0 * (d.r_t + sign * s * d.r_3)
         dirv = (1.0, cc) if tilde else (cc, 1.0)
@@ -418,7 +378,7 @@ def _f_field(cache):
     n = cache.n
 
     def fval(x1, x2, c):
-        d = cache.point(x1, x2, c).derived
+        d = cache.point(x1, x2, c)
         s2 = d.sigma2
         return (d.dp_rt - s2 * d.dm_r3) / (4.0 * (1.0 - s2)) + n / 2.0
 
@@ -453,7 +413,7 @@ def _eval_f4t(cache, center, st, tol=1e-4):
     r3_f = cache.f("r_3")
 
     def gp(a, b, cc):
-        d = cache.point(a, b, cc).derived
+        d = cache.point(a, b, cc)
         s2 = d.sigma2
         xp_, xm_ = a + b, a - b
         dcrt = _d_c(rt_f, a, b, cc, st.h_c)
@@ -462,7 +422,7 @@ def _eval_f4t(cache, center, st, tol=1e-4):
                 - 0.5 * xp_ * s2 * (d.dp_rt - d.dm_r3) / (1.0 - s2))
 
     def gm(a, b, cc):
-        d = cache.point(a, b, cc).derived
+        d = cache.point(a, b, cc)
         s2 = d.sigma2
         xp_, xm_ = a + b, a - b
         dcr3 = _d_c(r3_f, a, b, cc, st.h_c)
@@ -470,7 +430,7 @@ def _eval_f4t(cache, center, st, tol=1e-4):
                 - 0.5 * (1.0 - cc * cc) * dcr3
                 - 0.5 * xm_ * (d.dp_rt - d.dm_r3) / (1.0 - s2))
 
-    d0 = cache.point(x1, x2, c).derived
+    d0 = cache.point(x1, x2, c)
     f0 = ff(x1, x2, c)
     gp0 = gp(x1, x2, c)
     gm0 = gm(x1, x2, c)
@@ -538,7 +498,7 @@ def _composites(d, fd):
 
 def _eval_corollary(cache, center, st, tol=1e-4):
     x1, x2, c = center
-    d = cache.point(x1, x2, c).derived
+    d = cache.point(x1, x2, c)
     fd = _fd_thirds(cache, center, st)
     sig2 = d.sigma2
     reports = _eval_cor_x(cache, center, st)
@@ -576,7 +536,7 @@ def _eval_corollary(cache, center, st, tol=1e-4):
 def _eval_ccom(cache, center, st, tol=1e-5):
     x1, x2, c = center
     st.check_c(c)
-    d = cache.point(x1, x2, c).derived
+    d = cache.point(x1, x2, c)
     r = d.r
     lhs_p = r[0][1] * d.dp_r[1][0] - d.dp_r[0][1] * r[1][0]
     lhs_m = r[0][1] * d.dm_r[1][0] - d.dm_r[0][1] * r[1][0]
@@ -590,7 +550,7 @@ def _eval_ccom(cache, center, st, tol=1e-5):
 
 def _eval_final_four(cache, center, st, tol=1e-4):
     x1, x2, c = center
-    d = cache.point(x1, x2, c).derived
+    d = cache.point(x1, x2, c)
     fd = _fd_thirds(cache, center, st)
     sig2 = d.sigma2
     comp = _composites(d, fd)
@@ -632,7 +592,7 @@ def _eval_final_four(cache, center, st, tol=1e-4):
 def _eval_appendix(cache, center, st, tol=1e-4):
     x1, x2, c = center
     n = cache.n
-    d = cache.point(x1, x2, c).derived
+    d = cache.point(x1, x2, c)
     fd = _fd_thirds(cache, center, st)
     sig2 = d.sigma2
     xp_, xm_ = x1 + x2, x1 - x2
@@ -722,14 +682,14 @@ def _eval_higher(cache, center, st, tol=1e-2):
         g_f = _g_field(cache, st, tilde, order=2)
 
         def a2t(a, b, cc):
-            return _a2t_exact(cache.point(a, b, cc).derived, cc, tilde)
+            return _a2t_exact(cache.point(a, b, cc), cc, tilde)
 
         def af(a, b, cc):
             return _d_dir(ff, a, b, cc, a_dir(cc, tilde), h, 2)
 
         def g0(a, b, cc):
             """G0 = W A0 U - U A0 W, or its dual with At_0."""
-            u = cache.point(a, b, cc).derived
+            u = cache.point(a, b, cc)
             return (u.W * a0_apply(u_f, a, b, cc, tilde)
                     - u.U * a0_apply(w_f, a, b, cc, tilde))
 
@@ -894,7 +854,7 @@ def painleve_boundary_check(n, xi1, c, m=DEFAULT_M, xi2=12.0, stencil=None):
     st = stencil or DEFAULT_STENCIL
     cache = PointCache(n)
     center = (xi1, xi2, c)
-    d, fd, rep = cache.batched(lambda: (cache.point(*center).derived, _fd_thirds(cache, center, st),
+    d, fd, rep = cache.batched(lambda: (cache.point(*center), _fd_thirds(cache, center, st),
                                         _eval_avm(cache, center, st)[0]))
     p1_res, p1_scale = painleve_iv_residual(n, xi1, m)
 

@@ -215,6 +215,24 @@ def test_verify_at_large_n_and_small_c(argv, capsys):
     assert sum(r["passed"] is True for r in payload["reports"]) >= 34
 
 
+@pytest.mark.parametrize("n, c, xi, code", [
+    ("200", "0.5", "20", 2),
+    ("143", "0.9", "17", 2),
+    ("142", "0.9", "17", 0),     # the scales still fit a float
+])
+def test_verify_where_theorem1_scales_overflow(n, c, xi, code, capsys):
+    # every observed point builds theorem 1's U and W, whatever the ids
+    got = main(["verify", "--n", n, "--c", c, "--xi", xi, xi, "--equations", "toda00"])
+    out, err = capsys.readouterr()
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["passed"]
+    else:
+        assert out == ""
+        assert err == f"coupled-gue verify: error: theorem 1's U and W scales overflow " \
+                      f"a float at n={n}, c={c}\n"
+
+
 def test_verify_reports_carry_no_node_count(capsys):
     code, out = run_cli(capsys, "verify", "--equations", "toda00")
     assert code == 0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from coupled_gue import KernelParams, gram
+from coupled_gue import KernelParams, gram, residuals
 from coupled_gue.fredholm import EndpointData, FredholmError
 from coupled_gue.observables import (
     SCALAR_FIELDS, build_derived, build_quartet, hatted_vars, theorem1_uw)
@@ -83,7 +83,7 @@ class _WithWideCoupling(PointCache):
     """A cache whose batches also read ln P at c = 0.9, at the endpoints (0, 0.3)."""
 
     def batched(self, run):
-        return super().batched(lambda: (self.point(0.0, 0.3, 0.9).T, run())[1])
+        return super().batched(lambda: (self.T(0.0, 0.3, 0.9), run())[1])
 
 
 def test_table_prefix_reads_give_identical_reports(monkeypatch):
@@ -100,13 +100,22 @@ def test_table_prefix_reads_give_identical_reports(monkeypatch):
         k_maxes.append(k_max)
         return build(n, xis, k_max)
 
+    sols = []
+    solve = residuals.solve_batch
+
+    def kept(ps):
+        out = solve(ps)
+        sols.extend(out)
+        return out
+
     monkeypatch.setattr(gram, "ray_tables", counted)
-    cache = _WithWideCoupling(2)
-    assert blob(cache) == fresh
+    monkeypatch.setattr(residuals, "solve_batch", kept)
+    assert blob(_WithWideCoupling(2)) == fresh
     # one batch, its tables built at the tail of c = 0.9 and read by the
     # center's points as a shorter prefix
     assert k_maxes == [2 + gram.tail_length(0.9)]
-    assert cache.point(0.0, 0.3, 0.5).sol.rays[0].k_max == 2 + gram.tail_length(0.5)
+    at_center = [s for s in sols if (s.params.xi1, s.params.xi2, s.params.c) == center]
+    assert [s.rays[0].k_max for s in at_center] == [2 + gram.tail_length(0.5)]
 
 
 @pytest.mark.parametrize("c", sorted(K12_POINTS))
@@ -204,13 +213,20 @@ def test_each_point_is_factored_once(monkeypatch):
     # endpoint data is read enters one solve
     dets = _count_calls(monkeypatch, "slogdet", 10)
     solves = _count_calls(monkeypatch, "solve", 10)
+    observed = []
+    batch = residuals.endpoint_batch
+
+    def kept(sols):
+        observed.extend(sols)
+        return batch(sols)
+
+    monkeypatch.setattr(residuals, "endpoint_batch", kept)
     cache = PointCache(5)
     evaluate(cache, (3.1, 2.5, 0.55), include_higher=True)
-    observed = [p for p in cache._points.values() if p.row is not None]
-    assert 0 < len(observed) < len(cache._points)
-    assert len(dets) == len(set(dets)) == len(cache._points)
+    assert 0 < len(observed) < len(cache._T)
+    assert len(dets) == len(set(dets)) == len(cache._T)
     assert len(solves) == len(set(solves)) == len(observed)
-    assert set(solves) == {p.sol.mat.tobytes() for p in observed}
+    assert set(solves) == {sol.mat.tobytes() for sol in observed}
 
 
 def test_a_batch_is_at_one_n():
@@ -302,5 +318,5 @@ def test_one_table_build_per_endpoint(monkeypatch, n, center, higher):
     monkeypatch.setattr(gram, "ray_tables", counted)
     cache = PointCache(n)
     evaluate(cache, center, include_higher=higher)
-    endpoints = {xi for key in cache._points for xi in key[:2]}
+    endpoints = {xi for key in cache._T for xi in key[:2]}
     assert sorted(builds) == sorted(endpoints)

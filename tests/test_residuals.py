@@ -82,7 +82,44 @@ def test_one_gram_batch_per_center(monkeypatch, n, center, ids):
     evaluate(cache, center, ids=ids)
     assert [(name, recording) for name, _, recording in calls] == \
         [("solve_batch", False), ("endpoint_batch", False)]
-    assert calls[0][1] == len(cache._points)
+    assert calls[0][1] == len(cache._T)
+
+
+@pytest.mark.parametrize("n, center", [(20, (4.0, 4.5, 0.1)), (50, (9.0, 9.5, 0.2))])
+def test_a_point_held_for_ln_p_only_is_solved_again_for_its_row(monkeypatch, n, center):
+    # the center and its c-neighbours are first read for ln P only, then
+    # evaluate reads their rows; two points evaluate reads for ln P only are
+    # held too, and are not solved again
+    x1, x2, c = center
+    t_only = [(x1, x2, cc) for cc in (c, c + DEFAULT_STENCIL.h_c, c - DEFAULT_STENCIL.h_c)]
+    fresh = PointCache(n)
+    want = json.dumps([r.to_dict() for r in evaluate(fresh, center)])
+    kept_t = [key for key in fresh._T if key not in fresh._rows][:2]
+    cache = PointCache(n)
+    cache.batched(lambda: [cache.T(*key) for key in t_only + kept_t])
+    held = set(cache._T)
+    solved = []
+    solve = residuals.solve_batch
+
+    def kept(ps):
+        solved.append([(p.xi1, p.xi2, p.c) for p in ps])
+        return solve(ps)
+
+    monkeypatch.setattr(residuals, "solve_batch", kept)
+    got = json.dumps([r.to_dict() for r in evaluate(cache, center)])
+    assert solved == [[key for key in fresh._T if key in fresh._rows or key not in held]]
+    assert set(t_only) <= set(solved[0])
+    assert len(kept_t) == 2 and not set(kept_t) & set(solved[0])
+    assert got == want
+
+
+def test_a_read_the_recording_missed_raises():
+    cache = PointCache(2)
+    with pytest.raises(KeyError):
+        cache.point(*CENTER)
+    # reads that depend on the values: the second pass reads a row the first did not
+    with pytest.raises(KeyError):
+        cache.batched(lambda: math.isnan(cache.T(*CENTER)) or cache.point(*CENTER))
 
 
 def test_theorem1_reports(cache):
@@ -166,12 +203,10 @@ def test_ccom_a_pm_correspondences(cache):
     # A+ = 4((1-c^2) dc r_t - xi_+ sigma^2 A^2);
     # A- = -4((1-c^2) dc r_3 + xi_- A^2)
     x1, x2, c = CENTER
-    d = cache.point(*CENTER).derived
     hc = 1e-3
-    dcrt = (cache.point(x1, x2, c + hc).derived.r_t
-            - cache.point(x1, x2, c - hc).derived.r_t) / (2 * hc)
-    dcr3 = (cache.point(x1, x2, c + hc).derived.r_3
-            - cache.point(x1, x2, c - hc).derived.r_3) / (2 * hc)
+    d, up, down = cache.batched(lambda: [cache.point(x1, x2, cc) for cc in (c, c + hc, c - hc)])
+    dcrt = (up.r_t - down.r_t) / (2 * hc)
+    dcr3 = (up.r_3 - down.r_3) / (2 * hc)
     ap = 4.0 * ((1 - c * c) * dcrt - (x1 + x2) * d.sigma2 * d.A2)
     am = -4.0 * ((1 - c * c) * dcr3 + (x1 - x2) * d.A2)
     assert abs(d.A_plus - ap) <= 1e-5 * max(1.0, abs(d.A_plus))
@@ -228,29 +263,31 @@ def test_appendix_c_reduction_identity(cache):
     coef = [(1.0 / 12, -2), (-2.0 / 3, -1), (2.0 / 3, 1), (-1.0 / 12, 2)]
 
     def x_expr(a, b):
-        d = cache.point(a, b, c).derived
+        d = cache.point(a, b, c)
         return d.Phi_t * d.Phi_3 - 2.0 * d.X_t * d.X_3 * d.F_hat - d.G_t * d.G_3
-
-    dp_x_expr = sum(w * x_expr(x1 + o * h, x2 + o * h) for w, o in coef) / h
-
-    d = cache.point(*CENTER).derived
 
     def dfield(name, direction):
         f = cache.f(name)
         return sum(w * f(x1 + o * h * direction[0], x2 + o * h * direction[1], c)
                    for w, o in coef) / h
 
-    ptt_expr = (2.0 * d.F_hat * d.X_3 * dfield("Phi_t", (1, 1))
-                - 2.0 * d.F_hat * (d.DpX3 * d.Phi_t - d.R_t * d.G_3
-                                   + (x1 + x2) * d.X_3 * d.G_t)
-                - d.X_3 * (d.Phi_t**2 - d.G_t**2))
-    tt3_expr = (dfield("Phi_3", (1, 1)) - (x1 - x2) * d.G_t - (x1 + x2) * d.G_3
-                - d.X_3 * (3.0 * d.X_t - 8.0 * cache.n))
-    # expressions enter at senior-term-normalization: (+Tt)/(2 Fhat X_3)
-    # carries unit coefficient on D+ Phi_t, (Tt3) on D+ Phi_3
-    combo = (d.Phi_3 * ptt_expr / (2.0 * d.F_hat * d.X_3)
-             + d.Phi_t * tt3_expr)
-    scale = max(abs(d.Phi_t * d.Phi_3), abs(2.0 * d.F_hat * d.X_t * d.X_3), 1.0)
+    def sides():
+        dp_x_expr = sum(w * x_expr(x1 + o * h, x2 + o * h) for w, o in coef) / h
+        d = cache.point(*CENTER)
+        ptt_expr = (2.0 * d.F_hat * d.X_3 * dfield("Phi_t", (1, 1))
+                    - 2.0 * d.F_hat * (d.DpX3 * d.Phi_t - d.R_t * d.G_3
+                                       + (x1 + x2) * d.X_3 * d.G_t)
+                    - d.X_3 * (d.Phi_t**2 - d.G_t**2))
+        tt3_expr = (dfield("Phi_3", (1, 1)) - (x1 - x2) * d.G_t - (x1 + x2) * d.G_3
+                    - d.X_3 * (3.0 * d.X_t - 8.0 * cache.n))
+        # expressions enter at senior-term-normalization: (+Tt)/(2 Fhat X_3)
+        # carries unit coefficient on D+ Phi_t, (Tt3) on D+ Phi_3
+        combo = (d.Phi_3 * ptt_expr / (2.0 * d.F_hat * d.X_3)
+                 + d.Phi_t * tt3_expr)
+        scale = max(abs(d.Phi_t * d.Phi_3), abs(2.0 * d.F_hat * d.X_t * d.X_3), 1.0)
+        return dp_x_expr, combo, scale
+
+    dp_x_expr, combo, scale = cache.batched(sides)
     assert abs(dp_x_expr - combo) <= 1e-3 * scale
 
 
@@ -262,8 +299,8 @@ def test_pa_over_delta_vanishes_in_tail(cache):
     prev = math.inf
     for x2 in (1.5, 2.5, 3.5, 4.5):
         center = (0.0, x2, 0.5)
-        d = cache.point(*center).derived
-        fd = _fd_thirds(cache, center, DEFAULT_STENCIL)
+        d, fd = cache.batched(lambda: (cache.point(*center),
+                                       _fd_thirds(cache, center, DEFAULT_STENCIL)))
         comp = final_composites(
             phi_t=fd["phi_t"], phi_3=fd["phi_3"], dp_a2=fd["dp_a2"],
             dm_a2=fd["dm_a2"], x_t=d.X_t, x_3=d.X_3, a2=d.A2,

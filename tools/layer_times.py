@@ -180,7 +180,7 @@ def stencils(n: int) -> list:
                                ("full", lambda: evaluate(full, center, ids=ids))):
             t = timed(fn)
             rows.append({"n": n, "ids": ids_name, "cache": cache_name,
-                         "points": len(full._points),
+                         "points": len(full._T),
                          "median_us": round(1e6 * t["median"], 2),
                          "min_us": round(1e6 * t["min"], 2)})
     return rows
