@@ -13,8 +13,9 @@ with steps >= 1, and a --quad-m outside [8, 512].  `verify` checks a stencil
 step that is not positive and finite, parameters KernelParams rejects, an
 unknown equation id, too few --samples or a negative --seed before anything
 is evaluated; then a c-difference that leaves (0, 1) at a center, and a
-coupling whose K_12 tail is longer than gram.MAX_TAIL, and an (n, c) where
-theorem 1's U and W scales overflow a float.  A FredholmError is not caught.
+coupling whose K_12 tail is longer than gram.MAX_TAIL, and an n above 196,
+whatever c, where theorem 1's U and W scales overflow a float.  A
+FredholmError is not caught.
 
 Each command accepts only the flags it reads (COMMAND_FLAGS); any other flag
 is a usage error (exit 2).  Every default lives in RunConfig, and `verify`
@@ -164,7 +165,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     for p in ps:
         sol = solve(p, cfg.quad_m)
         e = endpoint_data(sol)
-        der = build_derived(e, build_quartet(e), p)
+        der = build_derived(e, build_quartet(e))
         row = {"n": p.n, "c": p.c, "xi1": p.xi1, "xi2": p.xi2,
                "P": sol.prob, "ln_P": sol.log_prob}
         for name in SCALAR_FIELDS:

@@ -14,28 +14,33 @@ auxiliary variables.
 Every function takes one point or a stack of them on a leading axis: the
 2x2 matrices of `EndpointData` as (..., 2, 2) arrays and its params as (...)
 arrays (`gram.endpoint_batch`), or (2, 2) matrices and floats at one point
-(the Nystrom `scan`).  Per-point scalars scale the matrices as (..., 1, 1),
-matrices multiply by `@` and entries read as [..., i, j], so a point's
-bits do not depend on the stack it is in.  A square is `square(x)`, C's
-pow(x, 2), which Python's float ** 2 calls; numpy's ** 2 on arrays rounds
-x * x instead, which differs in the last bit for about 1 in 1000 arguments.
+(the Nystrom `scan`), and reads the point from the data's params.  Per-point
+scalars scale the matrices as (..., 1, 1), matrices multiply by `@` and
+entries read as [..., i, j], so a point's bits do not depend on the stack
+it is in.  A square is `square(x)`, C's pow(x, 2), which Python's float ** 2
+calls; numpy's ** 2 on arrays rounds x * x instead, which differs in the
+last bit for about 1 in 1000 arguments.
 
 Notation notes.  sigma denotes both the scalar (1-c)/(1+c) and the matrix
 sigma*sigma_3; the code keeps them apart as `sig` and `sig_m`.  The sign
 convention X_3 = -2 D+ r_3 = -2 D- r_t is the one forced by r_t = D+ T,
 r_3 = D- T; both routes are cross-checked at runtime.
+
+Theorem 1's U and W scale Tr U_hat and Tr W_hat by factors whose powers of
+(1-c^2) cancel those of tau_{n+-1}/tau_n: one pair of constants per n, with
+product 1/4, and none computed per coupling value (`_uw_scales`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fredholm import SIGMA3, THETA, I2, EndpointData, diag2
-from .kernel import KernelParams
 
 __all__ = [
     "MatrixQuartet",
@@ -256,7 +261,8 @@ def _route_warnings(checks) -> list:
     return msgs[0] if shape == () else msgs
 
 
-def build_derived(e: EndpointData, q: MatrixQuartet, p: KernelParams) -> DerivedQuantities:
+def build_derived(e: EndpointData, q: MatrixQuartet) -> DerivedQuantities:
+    p = e.params
     sig = p.sigma
     sigma2 = sig * sig
     xi_p = p.xi1 + p.xi2
@@ -358,47 +364,40 @@ def tau_ratio_consts(n: int, c: float) -> tuple[float, float]:
     return up, dn
 
 
-def tau_ratios(e: EndpointData, p: KernelParams) -> tuple[float, float]:
+def tau_ratios(e: EndpointData) -> tuple[float, float]:
     """Restricted-integral ratios tau_{n+1}^J/tau_n^J and tau_{n-1}^J/tau_n^J,
 
     reconstructed from Tr U_hat = sqrt(2n) (tau_{n+1}^J/tau_{n+1}) / (tau_n^J/tau_n)
     and its W_hat counterpart."""
-    root = math.sqrt(2.0 * p.n)
-    up_c, dn_c = tau_ratio_consts(p.n, p.c)
-    up = _trace(e.U_hat) / root * up_c
-    dn = _trace(e.W_hat) / root * dn_c
-    return up, dn
+    root = math.sqrt(2.0 * e.params.n)
+    up_c, dn_c = tau_ratio_consts(e.params.n, e.params.c)
+    return _trace(e.U_hat) / root * up_c, _trace(e.W_hat) / root * dn_c
 
 
-def _uw_scales(n: int, c: float) -> tuple[float, float]:
-    """The factors of Tr U_hat in U and of Tr W_hat in W at one c; OverflowError
-    where one of them does not fit a float."""
-    root = math.sqrt(2.0 * n)
-    try:
-        up_c, dn_c = tau_ratio_consts(n, c)
-        return ((1.0 - c * c) ** (n + 0.5) * up_c / root,
-                (1.0 - c * c) ** (-(n - 0.5)) * dn_c / root)
-    except OverflowError:
-        raise OverflowError(f"theorem 1's U and W scales overflow a float at n={n}, c={c}") from None
+def _uw_scales(n: int) -> tuple[float, float]:
+    """(f_U, f_W), the factors of Tr U_hat in U and of Tr W_hat in W.  The powers
+    of (1-c^2) cancel: f_U = (1-c^2)^(n+1/2) (tau_{n+1}/tau_n) / sqrt(2n) =
+    sqrt(pi) n! / (2^n sqrt(2n)) and f_W = 1 / (4 f_U) at every c.
+    OverflowError where f_W is not a normal float, that is n >= 197."""
+    log_fu = math.lgamma(n + 1) - n * math.log(2.0) + 0.5 * math.log(math.pi / (2.0 * n))
+    fu = math.exp(log_fu) if log_fu < 709.0 else math.inf    # exp overflows from 709.78
+    if 0.25 / fu < sys.float_info.min:
+        raise OverflowError(f"theorem 1's U and W scales overflow a float at n={n}")
+    return fu, 0.25 / fu
 
 
-def theorem1_uw(e: EndpointData, p: KernelParams, hats: tuple | None = None) -> dict:
+def theorem1_uw(e: EndpointData, hats: tuple | None = None) -> dict:
     """U, W of the Toda-side system and their exact first derivatives.
 
     U = U_n (1-c^2)^(n+1/2), W = W_n (1-c^2)^-(n-1/2); the derivative
     matrices come from D+- U_hat = qt^ (sigma_3) q^, D+- W_hat = -pt^ (sigma_3) p^;
-    hats = hatted_vars(e) when the caller has it.  The c-dependent factors
-    are Python floats, computed once per distinct c of the stack.
-    """
-    cs = np.ravel(p.c).tolist()
-    scales = {c: _uw_scales(p.n, c) for c in set(cs)}
-    fu, fw = np.array([scales[c] for c in cs]).T.reshape((2,) + np.shape(p.c))
+    hats = hatted_vars(e) when the caller has it.  The factors of the traces
+    are one pair of floats per n, f_U f_W = 1/4, none per coupling value."""
+    fu, fw = _uw_scales(e.params.n)
     q_hat, p_hat, qt_hat, pt_hat = hats or hatted_vars(e)
-    tr_u = _trace(e.U_hat)
-    tr_w = _trace(e.W_hat)
     return {
-        "U": fu * tr_u,
-        "W": fw * tr_w,
+        "U": fu * _trace(e.U_hat),
+        "W": fw * _trace(e.W_hat),
         "DpU": fu * _trace(qt_hat @ q_hat),
         "DmU": fu * _trace(qt_hat @ SIGMA3 @ q_hat),
         "DpW": -fw * _trace(pt_hat @ p_hat),

@@ -202,8 +202,8 @@ class PointCache:
             if seen:
                 e = endpoint_batch([sol for _, sol in seen])
                 hats = hatted_vars(e)
-                vals = {**vars(build_derived(e, build_quartet(e, hats), e.params)),
-                        **theorem1_uw(e, e.params, hats), "r": e.r}
+                vals = {**vars(build_derived(e, build_quartet(e, hats))),
+                        **theorem1_uw(e, hats), "r": e.r}
                 cols = (vals[k] for k in _Row._fields)
                 rows = zip(*(v.tolist() if isinstance(v, np.ndarray) else v for v in cols))
                 self._rows.update(zip((key for key, _ in seen), map(_Row._make, rows)))

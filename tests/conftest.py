@@ -28,7 +28,7 @@ class SolveBank:
         key = (n, c, xi1, xi2, m)
         if key not in self._ders:
             e = self.end(n, c, xi1, xi2, m)
-            self._ders[key] = build_derived(e, build_quartet(e), e.params)
+            self._ders[key] = build_derived(e, build_quartet(e))
         return self._ders[key]
 
 

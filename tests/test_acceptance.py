@@ -121,7 +121,7 @@ def test_criterion_02_whole_domain_normalization(bank):
     for n in (1, 2, 3, 5):
         for c in GRID_C:
             e = bank.end(n, c, 12.0, 12.0, M)
-            up, dn = tau_ratios(e, e.params)
+            up, dn = tau_ratios(e)
             worst = max(worst, abs(up * dn - n / (2.0 * (1.0 - c * c))))
     ok = _verdict(2, worst <= 1e-8, f"tau product n/(2(1-c^2)), worst gap {worst:.2e}")
     assert ok
@@ -146,7 +146,7 @@ def test_criterion_04_unirel_tau_ratios(bank):
         up_c, dn_c = tau_ratio_consts(n, c)
         for x1, x2 in UNIREL_PAIRS:
             e = bank.end(n, c, x1, x2, M)
-            up, dn = tau_ratios(e, e.params)
+            up, dn = tau_ratios(e)
             pn = bank.sol(n, c, x1, x2, M).prob
             up_ind = bank.sol(n + 1, c, x1, x2, M).prob / pn * up_c
             dn_ind = bank.sol(n - 1, c, x1, x2, M).prob / pn * dn_c

@@ -216,9 +216,13 @@ def test_verify_at_large_n_and_small_c(argv, capsys):
 
 
 @pytest.mark.parametrize("n, c, xi, code", [
+    ("142", "0.9", "17", 0),
+    ("143", "0.9", "17", 0),
+    ("196", "0.1", "20", 0),     # the scales are one pair per n, and still fit a float
+    ("196", "0.5", "20", 0),
+    ("196", "0.9", "20", 0),
+    ("197", "0.9", "20", 2),     # W's scale is not a normal float, whatever c
     ("200", "0.5", "20", 2),
-    ("143", "0.9", "17", 2),
-    ("142", "0.9", "17", 0),     # the scales still fit a float
 ])
 def test_verify_where_theorem1_scales_overflow(n, c, xi, code, capsys):
     # every observed point builds theorem 1's U and W, whatever the ids
@@ -230,7 +234,7 @@ def test_verify_where_theorem1_scales_overflow(n, c, xi, code, capsys):
     else:
         assert out == ""
         assert err == f"coupled-gue verify: error: theorem 1's U and W scales overflow " \
-                      f"a float at n={n}, c={c}\n"
+                      f"a float at n={n}\n"
 
 
 def test_verify_reports_carry_no_node_count(capsys):

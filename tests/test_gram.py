@@ -163,14 +163,14 @@ def test_a_point_has_the_same_bits_alone_and_in_a_batch(name):
     sols = gram.solve_batch(ps)
     e = gram.endpoint_batch(sols)
     hats = hatted_vars(e)
-    der = build_derived(e, build_quartet(e, hats), e.params)
-    uw = theorem1_uw(e, e.params, hats)
+    der = build_derived(e, build_quartet(e, hats))
+    uw = theorem1_uw(e, hats)
     for i, p in enumerate(ps):
         sol = gram.solve(p)
         e1 = gram.endpoint_data(sol)
         hats1 = hatted_vars(e1)
-        der1 = build_derived(e1, build_quartet(e1, hats1), p)
-        uw1 = theorem1_uw(e1, p, hats1)
+        der1 = build_derived(e1, build_quartet(e1, hats1))
+        uw1 = theorem1_uw(e1, hats1)
         assert _bits(sols[i].log_prob) == _bits(sol.log_prob), p
         for f in dataclasses.fields(EndpointData)[1:]:
             assert _bits(getattr(e, f.name)[i]) == _bits(getattr(e1, f.name)), (p, f.name)
@@ -186,11 +186,11 @@ def test_route_warnings_are_per_point():
     q = build_quartet(e)
     q.G = q.G.copy()
     q.G[1] += 1.0                           # only point 1's trace of G disagrees
-    d = build_derived(e, q, e.params)
+    d = build_derived(e, q)
     assert [len(w) for w in d.warnings] == [0, 1, 0]
     assert d.warnings[1][0].startswith("G_t routes disagree")
     e1 = e.take(1, ps[1])
-    alone = build_derived(e1, dataclasses.replace(build_quartet(e1), G=q.G[1]), ps[1])
+    alone = build_derived(e1, dataclasses.replace(build_quartet(e1), G=q.G[1]))
     assert alone.warnings == d.warnings[1]
 
 

@@ -13,6 +13,7 @@ from coupled_gue.observables import (
     tau_ratio_consts,
     tau_ratios,
     theorem1_uw,
+    _uw_scales,
 )
 from coupled_gue.onematrix import solve_one_matrix
 
@@ -244,14 +245,14 @@ def test_tau_ratio_whole_domain_product(bank):
     for n in (1, 2, 3):
         for c in (0.2, 0.8):
             e = bank.end(n, c, 12.0, 12.0)
-            up, dn = tau_ratios(e, e.params)
+            up, dn = tau_ratios(e)
             assert up * dn == pytest.approx(n / (2.0 * (1.0 - c * c)), abs=1e-9)
 
 
 def test_tau_ratios_vs_independent_solves(bank):
     n, c, x1, x2 = 2, 0.5, 0.4, -0.2
     e = bank.end(n, c, x1, x2)
-    up, dn = tau_ratios(e, e.params)
+    up, dn = tau_ratios(e)
     up_c, dn_c = tau_ratio_consts(n, c)
     up_ind = bank.sol(n + 1, c, x1, x2).prob / bank.sol(n, c, x1, x2).prob * up_c
     dn_ind = bank.sol(n - 1, c, x1, x2).prob / bank.sol(n, c, x1, x2).prob * dn_c
@@ -263,7 +264,7 @@ def test_tau_ratio_one_matrix_limit(bank):
     # c -> 0, xi2 -> inf: ratio reduces to the one-matrix ratio at xi1
     n, c, xi = 2, 1e-9, 0.4
     e = bank.end(n, c, xi, 12.0)
-    up, _ = tau_ratios(e, e.params)
+    up, _ = tau_ratios(e)
     up_c, _ = tau_ratio_consts(n, c)
     om = solve_one_matrix(n, xi, 64).prob
     om_up = solve_one_matrix(n + 1, xi, 64).prob
@@ -280,15 +281,27 @@ def test_log_tau_closed_form():
             assert val == pytest.approx(n / (2.0 * (1.0 - c * c)), rel=1e-13)
 
 
+def test_uw_scales_are_the_per_coupling_factors():
+    for n in (1, 2, 5, 10, 20, 50, 100, 120):
+        fu, fw = _uw_scales(n)
+        assert abs(fu * fw - 0.25) <= 2 * math.ulp(0.25)
+        for c in (0.05, 0.5, 0.95):
+            # the per-coupling form, whose powers of (1-c^2) cancel those of the tau ratios
+            up_c, dn_c = tau_ratio_consts(n, c)
+            root = math.sqrt(2.0 * n)
+            assert rel_gap(fu, (1.0 - c * c) ** (n + 0.5) * up_c / root) <= 1e-11, (n, c)
+            assert rel_gap(fw, (1.0 - c * c) ** (-(n - 0.5)) * dn_c / root) <= 1e-11, (n, c)
+
+
 def test_theorem1_uw_derivatives_vs_fd(bank):
     n, c, x1, x2 = CENTER
-    uw = theorem1_uw(bank.end(*CENTER), KernelParams(n, c, x1, x2))
+    uw = theorem1_uw(bank.end(*CENTER))
     h = 5e-3
     coef = [(1.0 / 12, -2), (-2.0 / 3, -1), (2.0 / 3, 1), (-1.0 / 12, 2)]
 
     def u_at(a, b):
         e = bank.end(n, c, a, b)
-        return theorem1_uw(e, e.params)
+        return theorem1_uw(e)
 
     fd_p = sum(w * u_at(x1 + o * h, x2 + o * h)["U"] for w, o in coef) / h
     fd_m = sum(w * u_at(x1 + o * h, x2 - o * h)["U"] for w, o in coef) / h

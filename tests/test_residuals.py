@@ -129,6 +129,19 @@ def test_theorem1_reports(cache):
         assert r.relative <= 1e-5, (r.equation, r.relative)
 
 
+@pytest.mark.parametrize("center", [
+    (7.405963885845, 7.035718991962, 0.51427486728),
+    (7.462907270274, 7.229898620612, 0.36460914991),
+    (7.084195992772, 6.978156975943, 0.320312568146),
+])
+def test_theorem1_c_differences_at_n10(center):
+    # the c-differences divide any change of U's or W's scale between c +- h_c
+    # by 2 h_c, so the scales must not vary with c, not even in their last bits
+    for r in evaluate(PointCache(10), center, ids=THM1_IDS[1:]):
+        if r.status == "ok":
+            assert r.relative <= 1e-5, (r.equation, r.relative)
+
+
 def test_theorem1_one_matrix_limit(cache):
     # xi2 -> +inf reduces the system to the single-matrix equations
     for r in evaluate(cache, (0.0, 12.0, 0.5), ids=THM1_IDS):

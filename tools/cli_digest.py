@@ -79,6 +79,9 @@ def commands() -> list[list[str]]:
     # n >= 10 at small c, where the Nystrom K_12 cancels
     cmds.append(["verify", "--n", "20", "--c", "0.1", "--xi", "4", "4.5"])
     cmds.append(["verify", "--n", "50", "--c", "0.2", "--xi", "9", "9.5"])
+    # the last n whose theorem 1 U and W scales fit a float, and the first that overflows
+    for n in ("196", "197"):
+        cmds.append(["verify", "--n", n, "--c", "0.9", "--xi", "20", "20", "--equations", "toda00"])
     return cmds
 
 

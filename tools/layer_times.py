@@ -141,8 +141,8 @@ def layers(n: int, batch: int) -> dict:
 
     def observables():
         hats = hatted_vars(e)
-        build_derived(e, build_quartet(e, hats), e.params)
-        theorem1_uw(e, e.params, hats)
+        build_derived(e, build_quartet(e, hats))
+        theorem1_uw(e, hats)
 
     return {
         "ray_tables": timed(lambda: gram.ray_tables(n, xis, k_max)),
